@@ -30,7 +30,6 @@ type entry = {
   mutable pending : pending;
   queue : queued Queue.t;
   mutable shadow : bytes option;
-  mutable lost : bool;
   mutable mode : Proto.mode;
       (** which protocol serves this minipage; switched only at sync points *)
   mutable epoch : int;  (** bumped on every mode switch *)
@@ -75,7 +74,6 @@ let register t mp =
       pending = No_op;
       queue = Queue.create ();
       shadow = None;
-      lost = false;
       mode = Proto.Sc;
       epoch = 0;
     }
@@ -90,12 +88,6 @@ let entry t ~mp_id =
 let find t ~mp_id = Hashtbl.find_opt t.table mp_id
 let adopt t e = Hashtbl.replace t.table e.mp.Mp_multiview.Minipage.id e
 let remove t ~mp_id = Hashtbl.remove t.table mp_id
-
-let absorb_idempotence t ~from =
-  Hashtbl.iter (fun req_id () -> Hashtbl.replace t.seen_reqs req_id ()) from.seen_reqs;
-  Hashtbl.iter
-    (fun req_id at -> Hashtbl.replace t.completed_reqs req_id at)
-    from.completed_reqs
 
 let busy e = e.pending <> No_op
 

@@ -49,10 +49,6 @@ type entry = {
       (** manager-side shadow copy: the minipage's content as of its last
           ownership/data transfer (or barrier sync) — the recovery source
           when the owner dies holding the only copy *)
-  mutable lost : bool;
-      (** the dead owner wrote after the last transfer: the recovered shadow
-          is the last {e observed} version, but app-level data was lost —
-          survivor accesses fail fast instead of silently reading it *)
   mutable mode : Proto.mode;
       (** which protocol serves this minipage — the paper's Figure-3
           single-writer machine ([Sc]) or the multi-writer diff path ([Rc]);
@@ -80,14 +76,9 @@ val find : t -> mp_id:int -> entry option
 
 val adopt : t -> entry -> unit
 (** Install an entry that migrated from another shard (first-toucher
-    placement, or crash recovery re-homing a dead home's entries). *)
+    placement, or a backup promoted over a dead home's entries). *)
 
 val remove : t -> mp_id:int -> unit
-
-val absorb_idempotence : t -> from:t -> unit
-(** Merge another shard's seen/completed request-id tables into this one, so
-    duplicates of requests originally served by a re-homed shard are still
-    suppressed at the new home. *)
 
 val busy : entry -> bool
 

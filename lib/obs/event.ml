@@ -45,12 +45,11 @@ type kind =
   | Dead_notice of { dead : int }
   | Shadow_refresh of { mp_id : int; bytes : int }
   | Shadow_sync of { refreshed : int }
-  | Recover_minipage of { mp_id : int; lost : bool }
+  | Recover_minipage of { mp_id : int }
   | Lease_revoke of { lock : int; next : int }
   | Barrier_reconfig of { bphase : int; expected : int }
   | Home_assign of { mp_id : int; home : int }
   | Home_redirect of { mp_id : int; old_home : int; new_home : int }
-  | Rehome of { mp_id : int; from_home : int; to_home : int }
   | Log_append of { primary : int; backup : int; lseq : int; record : string }
   | Log_apply of { primary : int; lseq : int; record : string }
   | Backup_promote of { primary : int; backup : int; entries : int; applied : int }
@@ -109,7 +108,6 @@ let kind_name = function
   | Barrier_reconfig _ -> "BARRIER_RECONFIG"
   | Home_assign _ -> "HOME_ASSIGN"
   | Home_redirect _ -> "HOME_REDIRECT"
-  | Rehome _ -> "REHOME"
   | Log_append _ -> "LOG_APPEND"
   | Log_apply _ -> "LOG_APPLY"
   | Backup_promote _ -> "BACKUP_PROMOTE"
@@ -165,8 +163,7 @@ let detail = function
   | Dead_notice { dead } -> Printf.sprintf "h%d is dead" dead
   | Shadow_refresh { mp_id; bytes } -> Printf.sprintf "mp%d (%d bytes)" mp_id bytes
   | Shadow_sync { refreshed } -> Printf.sprintf "%d minipages" refreshed
-  | Recover_minipage { mp_id; lost } ->
-    Printf.sprintf "mp%d%s" mp_id (if lost then " (LOST)" else "")
+  | Recover_minipage { mp_id } -> Printf.sprintf "mp%d" mp_id
   | Lease_revoke { lock; next } ->
     if next < 0 then Printf.sprintf "l%d (no waiter)" lock
     else Printf.sprintf "l%d -> h%d" lock next
@@ -175,8 +172,6 @@ let detail = function
   | Home_assign { mp_id; home } -> Printf.sprintf "mp%d -> h%d" mp_id home
   | Home_redirect { mp_id; old_home; new_home } ->
     Printf.sprintf "mp%d h%d -> h%d" mp_id old_home new_home
-  | Rehome { mp_id; from_home; to_home } ->
-    Printf.sprintf "mp%d h%d -> h%d" mp_id from_home to_home
   | Log_append { primary; backup; lseq; record } ->
     Printf.sprintf "h%d #%d %s -> h%d" primary lseq record backup
   | Log_apply { primary; lseq; record } ->

@@ -69,9 +69,9 @@ type kind =
       (** Manager shadow copy updated from an ownership/data transfer. *)
   | Shadow_sync of { refreshed : int }
       (** Barrier-release sweep refreshed this many shadow copies. *)
-  | Recover_minipage of { mp_id : int; lost : bool }
-      (** Recovery installed the shadow copy at the manager; [lost] marks a
-          minipage the dead host wrote after its last transfer. *)
+  | Recover_minipage of { mp_id : int }
+      (** Recovery installed the shadow copy at this host (the minipage's
+          home, or its promoted backup). *)
   | Lease_revoke of { lock : int; next : int }
       (** Lock lease revoked from this (dead) host; [next < 0]: no waiter. *)
   | Barrier_reconfig of { bphase : int; expected : int }
@@ -83,9 +83,6 @@ type kind =
   | Home_redirect of { mp_id : int; old_home : int; new_home : int }
       (** A request hit a stale home hint; the receiver pointed the
           requester at the minipage's current home. *)
-  | Rehome of { mp_id : int; from_home : int; to_home : int }
-      (** Crash recovery moved this minipage's directory entry from a dead
-          home host to a surviving one. *)
   | Log_append of { primary : int; backup : int; lseq : int; record : string }
       (** Home [primary] streamed the [lseq]'th record of its directory log
           to [backup]; [record] is the record tag (["admit"], ["complete"],

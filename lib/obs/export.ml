@@ -147,7 +147,7 @@ let perfetto_json ?(extra = []) (events : Event.t list) =
       | Event.Host_crash | Event.Host_stall _ | Event.Heartbeat_miss _
       | Event.Suspect | Event.Declare_dead | Event.Dead_notice _
       | Event.Shadow_refresh _ | Event.Shadow_sync _ | Event.Recover_minipage _
-      | Event.Lease_revoke _ | Event.Barrier_reconfig _ | Event.Rehome _
+      | Event.Lease_revoke _ | Event.Barrier_reconfig _
       | Event.Log_append _ | Event.Log_apply _ | Event.Backup_promote _
       | Event.Log_replay _ ->
         add (instant ~name ~cat:"crash" ~ts:e.time ~pid ~tid:0 ~args)

@@ -346,10 +346,10 @@ let shadow_sync t ~time ~host ~refreshed =
     incr t "ft.shadow_syncs"
   end
 
-let recover_minipage t ~time ~host ~span ~mp_id ~lost =
+let recover_minipage t ~time ~host ~span ~mp_id =
   if t.on then begin
-    record t ~time ~host ~span (Event.Recover_minipage { mp_id; lost });
-    incr t (if lost then "ft.lost_minipages" else "ft.recovered_minipages")
+    record t ~time ~host ~span (Event.Recover_minipage { mp_id });
+    incr t "ft.recovered_minipages"
   end
 
 let lease_revoke t ~time ~host ~lock ~next =
@@ -378,12 +378,6 @@ let home_redirect t ~time ~host ~span ~mp_id ~old_home ~new_home =
   if t.on then begin
     record t ~time ~host ~span (Event.Home_redirect { mp_id; old_home; new_home });
     incr t "homes.redirects"
-  end
-
-let rehome t ~time ~host ~mp_id ~from_home ~to_home =
-  if t.on then begin
-    record t ~time ~host (Event.Rehome { mp_id; from_home; to_home });
-    incr t "homes.rehomes"
   end
 
 (* ---------------- replicated home shards ---------------- *)

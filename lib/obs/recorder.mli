@@ -136,8 +136,7 @@ val dead_notice : t -> time:float -> host:int -> dead:int -> unit
 val shadow_refresh : t -> time:float -> host:int -> mp_id:int -> bytes:int -> unit
 val shadow_sync : t -> time:float -> host:int -> refreshed:int -> unit
 
-val recover_minipage :
-  t -> time:float -> host:int -> span:int -> mp_id:int -> lost:bool -> unit
+val recover_minipage : t -> time:float -> host:int -> span:int -> mp_id:int -> unit
 
 val lease_revoke : t -> time:float -> host:int -> lock:int -> next:int -> unit
 val barrier_reconfig : t -> time:float -> host:int -> bphase:int -> expected:int -> unit
@@ -151,9 +150,6 @@ val home_assign : t -> time:float -> host:int -> mp_id:int -> home:int -> unit
 val home_redirect :
   t -> time:float -> host:int -> span:int -> mp_id:int -> old_home:int ->
   new_home:int -> unit
-
-val rehome :
-  t -> time:float -> host:int -> mp_id:int -> from_home:int -> to_home:int -> unit
 
 (** {2 Replicated home shards}
 
