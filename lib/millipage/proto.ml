@@ -93,8 +93,12 @@ type body =
    sequence number so the reliable-transport layer in [Dsm] can detect loss,
    duplication and reordering; [Tack] is its transport-level acknowledgement.
    On a fault-free fabric the transport is inert and every body is sent as
-   [Data { seq = 0; _ }]. *)
-type packet = Data of { seq : int; body : body } | Tack of { seq : int }
+   [Data { seq = 0; _ }].  [Datagram] bypasses the transport: no sequence
+   number, no ack, no retransmission, so a loss is final. *)
+type packet =
+  | Data of { seq : int; body : body }
+  | Tack of { seq : int }
+  | Datagram of body
 
 let access_to_string = function Read -> "read" | Write -> "write"
 
@@ -160,5 +164,5 @@ let describe = function
 (* Data packets keep the bare body label so fault-free traces are identical
    with or without the transport wrapper. *)
 let describe_packet = function
-  | Data { body; _ } -> describe body
+  | Data { body; _ } | Datagram body -> describe body
   | Tack { seq } -> Printf.sprintf "TACK(s%d)" seq
