@@ -50,7 +50,7 @@ let test_diff =
 
 let test_vm_read =
   let obj = Mp_memsim.Memobject.create ~size:(64 * 1024) () in
-  let vm = Mp_memsim.Vm.create obj in
+  let vm = Mp_memsim.Vm.create ~counters:(Mp_util.Stats.Counters.create ()) obj in
   let v = Mp_memsim.Vm.map_view vm Mp_memsim.Prot.Read_write in
   let base = Mp_memsim.Vm.view_base vm v in
   let i = ref 0 in

@@ -61,10 +61,10 @@ let run_one ?(homes = Dsm.Config.Homes.default) ~ft () =
     time = Engine.now e;
     events;
     declared = Dsm.declared_dead dsm;
-    recovered = Dsm.recovered_minipages dsm;
-    heartbeats = Dsm.heartbeats_sent dsm;
+    recovered = Harness.counter dsm "ft.recovered_minipages";
+    heartbeats = Harness.counter dsm "ft.heartbeats";
     messages = Dsm.messages_sent dsm;
-    promotions = Dsm.backup_promotions dsm;
+    promotions = Harness.counter dsm "replicate.promotions";
     log_sent = Dsm.log_records_sent dsm;
     violations =
       (* an aborted run legitimately strands in-flight survivor faults;

@@ -81,7 +81,8 @@ let false_sharing_run ~hosts consistency =
   {
     mc_msgs = Dsm.messages_sent dsm;
     mc_bytes = Dsm.bytes_sent dsm;
-    mc_switches = Dsm.mode_switches dsm;
+    mc_switches =
+      Harness.counter dsm "rc.promotes" + Harness.counter dsm "rc.demotes";
     mc_rc_pages =
       (try List.assoc Mp_millipage.Proto.Rc (Dsm.modes dsm) with Not_found -> 0);
     mc_ok = !ok;

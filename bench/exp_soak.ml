@@ -67,11 +67,11 @@ let run () =
               string_of_int hosts;
               Tab.fu (Engine.now e);
               string_of_int (Dsm.messages_sent dsm);
-              string_of_int (Dsm.net_dropped dsm);
-              string_of_int (Dsm.net_duplicated dsm);
-              string_of_int (Dsm.net_reordered dsm);
-              string_of_int (Dsm.retransmits dsm);
-              string_of_int (Dsm.dups_suppressed dsm);
+              string_of_int (Harness.counter dsm "net.dropped");
+              string_of_int (Harness.counter dsm "net.duplicated");
+              string_of_int (Harness.counter dsm "net.reordered");
+              string_of_int (Harness.counter dsm "transport.retransmits");
+              string_of_int (Harness.counter dsm "transport.dups_suppressed");
               (if ok then "ok" else "FAIL");
             ])
           host_counts)

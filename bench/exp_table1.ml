@@ -10,7 +10,7 @@ open Mp_millipage
 let measured_fault_us () =
   let e = Engine.create () in
   let obj = Memobject.create ~size:4096 () in
-  let vm = Vm.create obj in
+  let vm = Vm.create ~counters:(Mp_util.Stats.Counters.create ()) obj in
   let v = Vm.map_view vm Prot.No_access in
   let cost = Cost_model.default in
   Vm.set_fault_handler vm (fun f ->

@@ -7,6 +7,7 @@ let section title =
   Printf.printf "\n=== %s ===\n%!" title
 
 let note fmt = Printf.ksprintf (fun s -> Printf.printf "%s\n%!" s) fmt
+let counter dsm name = Mp_util.Stats.Counters.get (Dsm.counters dsm) name
 
 (* Set MP_OBS_DIR=<dir> to capture full observability traces from the bench
    runs: every DSM built through [mk_dsm] records typed events, and

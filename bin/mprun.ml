@@ -218,7 +218,7 @@ let report_ft (t : Mp_millipage.Dsm.t) =
   let c n = Mp_util.Stats.Counters.get (D.counters t) n in
   Printf.printf
     "crash-ft:     %d heartbeat(s); crashed %s; declared dead %s\n"
-    (D.heartbeats_sent t)
+    (c "ft.heartbeats")
     (match D.crashed_hosts t with
     | [] -> "none"
     | l -> String.concat "," (List.map string_of_int l))
@@ -229,24 +229,24 @@ let report_ft (t : Mp_millipage.Dsm.t) =
     Printf.printf
       "recovery:     %d minipage(s) from shadows, %d lease(s) revoked, %d \
        barrier reconfig(s)\n"
-      (D.recovered_minipages t)
-      (D.leases_revoked t) (c "ft.barrier_reconfigs");
+      (c "ft.recovered_minipages")
+      (c "ft.lease_revokes") (c "ft.barrier_reconfigs");
   (* central homes stream no log (host 0 cannot die), so a fault-free
      central run has nothing to report here *)
-  if D.log_records_sent t > 0 || D.backup_promotions t > 0 then begin
+  if D.log_records_sent t > 0 || c "replicate.promotions" > 0 then begin
     Printf.printf
       "replication:  %d log record(s) sent, %d applied; %d promotion(s)%s\n"
       (D.log_records_sent t)
-      (D.log_records_applied t)
-      (D.backup_promotions t)
+      (c "replicate.log_applies")
+      (c "replicate.promotions")
       (match D.promoted_homes t with
       | [] -> ""
       | l ->
         Printf.sprintf " (home %s)" (String.concat "," (List.map string_of_int l)));
-    if D.backup_promotions t > 0 then
+    if c "replicate.promotions" > 0 then
       Printf.printf "promotion:    %d tail repair(s), %d minipage(s) rolled back\n"
-        (D.tail_repairs t)
-        (D.rolled_back_minipages t)
+        (c "replicate.tail_repairs")
+        (c "replicate.rollbacks")
   end
 
 let execute app system hosts chunking polling paper trace_out perfetto metrics
@@ -350,6 +350,7 @@ let execute app system hosts chunking polling paper trace_out perfetto metrics
     in
     let t = Mp_millipage.Dsm.create engine ~hosts ~config () in
     let module R = Runner (Mp_dsm.Millipage_impl) in
+    let c n = Mp_util.Stats.Counters.get (Mp_millipage.Dsm.counters t) n in
     let exec () =
       R.exec t engine app paper obs_opts
         ~extra:(fun () ->
@@ -362,7 +363,7 @@ let execute app system hosts chunking polling paper trace_out perfetto metrics
                "homes:        policy %s; %d redirect(s); queue depth by home \
                 [%s]\n"
                (H.policy_name homes_config.H.policy)
-               (Mp_millipage.Dsm.home_redirects t)
+               (c "homes.redirects")
                (String.concat ","
                   (Array.to_list
                      (Array.map string_of_int
@@ -380,20 +381,15 @@ let execute app system hosts chunking polling paper trace_out perfetto metrics
                 (%d bytes)\n"
                (C.mode_name consistency_config.C.mode)
                census
-               (Mp_millipage.Dsm.mode_switches t)
-               (Mp_millipage.Dsm.rc_twins t)
-               (Mp_millipage.Dsm.rc_diffs t)
-               (Mp_millipage.Dsm.rc_diff_bytes t)
+               (c "rc.promotes" + c "rc.demotes")
+               (c "rc.twins") (c "rc.diffs") (c "rc.diff_bytes")
            end);
           if Mp_millipage.Dsm.faulty t then
             Printf.printf
               "net faults:   %d dropped, %d duplicated, %d reordered; %d \
                retransmits, %d dups suppressed\n"
-              (Mp_millipage.Dsm.net_dropped t)
-              (Mp_millipage.Dsm.net_duplicated t)
-              (Mp_millipage.Dsm.net_reordered t)
-              (Mp_millipage.Dsm.retransmits t)
-              (Mp_millipage.Dsm.dups_suppressed t);
+              (c "net.dropped") (c "net.duplicated") (c "net.reordered")
+              (c "transport.retransmits") (c "transport.dups_suppressed");
           if ft_config <> None then report_ft t)
         ~degraded:(fun () -> Mp_millipage.Dsm.declared_dead t <> [])
         ()

@@ -18,7 +18,7 @@ let show vm label views =
 let () =
   (* a one-page memory object holding three variables *)
   let obj = Memobject.create ~size:4096 () in
-  let vm = Vm.create obj in
+  let vm = Vm.create ~counters:(Mp_util.Stats.Counters.create ()) obj in
   let v1 = Vm.map_view vm Prot.No_access in
   let v2 = Vm.map_view vm Prot.No_access in
   let v3 = Vm.map_view vm Prot.No_access in

@@ -98,7 +98,10 @@ type t = {
   mutable next_req : int;
   mutable total_threads : int;
   mutable finished_threads : int;
-  counters : Stats.Counters.t;
+  counters : Stats.Counters.t;  (* shared with the fabric and every host's vm *)
+  diffs : Stats.Counters.counter;
+  diff_bytes : Stats.Counters.counter;
+  twins : Stats.Counters.counter;
   mutable started : bool;
 }
 
@@ -203,8 +206,8 @@ let flush ctx =
         Engine.delay t.cost.set_prot_us;
         if not (Twin_diff.is_empty diff) then begin
           dirtied := page :: !dirtied;
-          Stats.Counters.incr t.counters "diffs";
-          Stats.Counters.add t.counters "diff.bytes" (Twin_diff.encoded_bytes diff);
+          Stats.Counters.incr t.diffs;
+          Stats.Counters.add t.diff_bytes (Twin_diff.encoded_bytes diff);
           let hm = home t page in
           if hm = h.id then
             (* we are the home: our memory is already the committed copy *)
@@ -272,7 +275,7 @@ let on_fault ctx (f : Vm.fault) =
     ()
   | Prot.Write, Clean ->
     Engine.delay t.cost.twin_us;
-    Stats.Counters.incr t.counters "twins";
+    Stats.Counters.incr t.twins;
     h.pstate.(page) <- Dirty (Twin_diff.twin (page_bytes t h page));
     set_page_prot t h page Prot.Read_write
   | Prot.Read, (Clean | Dirty _) | Prot.Write, Dirty _ ->
@@ -392,11 +395,12 @@ let on_message t (h : host_state) (m : body Fabric.msg) =
 let create engine ~hosts:nhosts ?(object_size = 16 * 1024 * 1024) ?(page_size = 4096)
     ?(cost = Cost.default) ?(polling = Polling.nt_mode) ?(seed = 1) () =
   if nhosts <= 0 then invalid_arg "Lrc.create: hosts";
-  let fabric = Fabric.create engine ~hosts:nhosts ~polling ~seed () in
+  let counters = Stats.Counters.create () in
+  let fabric = Fabric.create engine ~hosts:nhosts ~counters ~polling ~seed () in
   let pages = (object_size + page_size - 1) / page_size in
   let mk_host id =
     let obj = Memobject.create ~page_size ~size:object_size () in
-    let vm = Vm.create obj in
+    let vm = Vm.create ~counters obj in
     ignore (Vm.map_view vm Prot.No_access);
     ignore (Vm.map_privileged_view vm);
     {
@@ -432,7 +436,10 @@ let create engine ~hosts:nhosts ?(object_size = 16 * 1024 * 1024) ?(page_size = 
       next_req = 0;
       total_threads = 0;
       finished_threads = 0;
-      counters = Stats.Counters.create ();
+      counters;
+      diffs = Stats.Counters.counter counters "diffs";
+      diff_bytes = Stats.Counters.counter counters "diff.bytes";
+      twins = Stats.Counters.counter counters "twins";
       started = false;
     }
   in
@@ -638,16 +645,10 @@ let fetch_group ctx group_id =
 (* Statistics                                                          *)
 (* ------------------------------------------------------------------ *)
 
-let messages_sent t = Stats.Counters.get (Fabric.counters t.fabric) "send.count"
-let bytes_sent t = Stats.Counters.get (Fabric.counters t.fabric) "send.bytes"
-
-let sum_host_counter t key =
-  Array.fold_left
-    (fun acc h -> acc + Stats.Counters.get (Vm.counters h.vm) key)
-    0 t.host_states
-
-let read_faults t = sum_host_counter t "fault.read"
-let write_faults t = sum_host_counter t "fault.write"
+let messages_sent t = Stats.Counters.get t.counters "send.count"
+let bytes_sent t = Stats.Counters.get t.counters "send.bytes"
+let read_faults t = Stats.Counters.get t.counters "fault.read"
+let write_faults t = Stats.Counters.get t.counters "fault.write"
 
 let breakdown t =
   Breakdown.to_list
@@ -656,9 +657,9 @@ let breakdown t =
 
 let obs t = t.obs
 let profile t = Mp_obs.Profile.attached t.obs
-let diffs_created t = Stats.Counters.get t.counters "diffs"
-let diff_bytes t = Stats.Counters.get t.counters "diff.bytes"
-let twins_created t = Stats.Counters.get t.counters "twins"
+let diffs_created t = Stats.Counters.value t.diffs
+let diff_bytes t = Stats.Counters.value t.diff_bytes
+let twins_created t = Stats.Counters.value t.twins
 
 (* every page is served by the twin/diff multi-writer protocol, always *)
 let mode_of _ _ = Mp_millipage.Proto.Rc

@@ -71,7 +71,10 @@ type t = {
   mutable next_req : int;
   mutable total_threads : int;
   mutable finished_threads : int;
-  counters : Stats.Counters.t;
+  counters : Stats.Counters.t;  (* shared with the fabric and every host's vm *)
+  diffs : Stats.Counters.counter;
+  diff_bytes : Stats.Counters.counter;
+  twins : Stats.Counters.counter;
   mutable started : bool;
 }
 
@@ -188,8 +191,8 @@ let flush ctx =
         protect_mp t h mp Prot.Read_only;
         if not (Twin_diff.is_empty diff) then begin
           dirtied := mp_id :: !dirtied;
-          Stats.Counters.incr t.counters "diffs";
-          Stats.Counters.add t.counters "diff.bytes" (Twin_diff.encoded_bytes diff);
+          Stats.Counters.incr t.diffs;
+          Stats.Counters.add t.diff_bytes (Twin_diff.encoded_bytes diff);
           let hm = home t mp_id in
           if hm <> h.id then begin
             h.flush_pending <- h.flush_pending + 1;
@@ -253,7 +256,7 @@ let on_fault ctx (f : Vm.fault) =
   | Prot.Write, Clean ->
     Engine.delay
       (t.cost.Lrc.Cost.twin_us *. float_of_int mp.Minipage.length /. 4096.0);
-    Stats.Counters.incr t.counters "twins";
+    Stats.Counters.incr t.twins;
     Hashtbl.replace h.mstate mp_id (Dirty (Twin_diff.twin (mp_bytes t h mp)));
     protect_mp t h mp Prot.Read_write
   | Prot.Read, (Clean | Dirty _) | Prot.Write, Dirty _ ->
@@ -378,10 +381,11 @@ let create engine ~hosts:nhosts ?(views = 32) ?(object_size = 16 * 1024 * 1024)
     ?(page_size = 4096) ?(chunking = Allocator.Fine 1) ?(polling = Polling.nt_mode)
     ?(seed = 1) () =
   if nhosts <= 0 then invalid_arg "Mrc.create: hosts";
-  let fabric = Fabric.create engine ~hosts:nhosts ~polling ~seed () in
+  let counters = Stats.Counters.create () in
+  let fabric = Fabric.create engine ~hosts:nhosts ~counters ~polling ~seed () in
   let mk_host id =
     let obj = Memobject.create ~page_size ~size:object_size () in
-    let vm = Vm.create obj in
+    let vm = Vm.create ~counters obj in
     for _ = 1 to views do
       ignore (Vm.map_view vm Prot.No_access)
     done;
@@ -418,7 +422,10 @@ let create engine ~hosts:nhosts ?(views = 32) ?(object_size = 16 * 1024 * 1024)
       next_req = 0;
       total_threads = 0;
       finished_threads = 0;
-      counters = Stats.Counters.create ();
+      counters;
+      diffs = Stats.Counters.counter counters "diffs";
+      diff_bytes = Stats.Counters.counter counters "diff.bytes";
+      twins = Stats.Counters.counter counters "twins";
       started = false;
     }
   in
@@ -612,16 +619,10 @@ let fetch_group ctx group_id =
 (* Statistics                                                           *)
 (* ------------------------------------------------------------------ *)
 
-let messages_sent t = Stats.Counters.get (Fabric.counters t.fabric) "send.count"
-let bytes_sent t = Stats.Counters.get (Fabric.counters t.fabric) "send.bytes"
-
-let sum_host_counter t key =
-  Array.fold_left
-    (fun acc h -> acc + Stats.Counters.get (Vm.counters h.vm) key)
-    0 t.host_states
-
-let read_faults t = sum_host_counter t "fault.read"
-let write_faults t = sum_host_counter t "fault.write"
+let messages_sent t = Stats.Counters.get t.counters "send.count"
+let bytes_sent t = Stats.Counters.get t.counters "send.bytes"
+let read_faults t = Stats.Counters.get t.counters "fault.read"
+let write_faults t = Stats.Counters.get t.counters "fault.write"
 
 let breakdown t =
   Breakdown.to_list
@@ -630,9 +631,9 @@ let breakdown t =
 
 let obs t = t.obs
 let profile t = Mp_obs.Profile.attached t.obs
-let diffs_created t = Stats.Counters.get t.counters "diffs"
-let diff_bytes t = Stats.Counters.get t.counters "diff.bytes"
-let twins_created t = Stats.Counters.get t.counters "twins"
+let diffs_created t = Stats.Counters.value t.diffs
+let diff_bytes t = Stats.Counters.value t.diff_bytes
+let twins_created t = Stats.Counters.value t.twins
 let views_used t = Allocator.views_used t.allocator
 
 (* every minipage is served by the twin/diff multi-writer protocol, always *)

@@ -55,7 +55,11 @@ type t = {
   fetching : (int * int, inflight) Hashtbl.t;  (* (page, sub) *)
   store : (int * int, bytes) Hashtbl.t array;  (* per server: backing pages *)
   mutable next_req : int;
-  counters : Stats.Counters.t;
+  counters : Stats.Counters.t;  (* shared with [vm] and [fabric] *)
+  misses : Stats.Counters.counter;
+  fetches : Stats.Counters.counter;
+  evictions : Stats.Counters.counter;
+  writebacks : Stats.Counters.counter;
   miss_stall : Stats.Summary.t;
 }
 
@@ -107,7 +111,7 @@ let send_fetch t ~page ~sub ~demand =
     t.next_req <- t.next_req + 1;
     let inflight = { event = Sync.Event.create ~auto_reset:false ~name:"gms.fetch" (); demand } in
     Hashtbl.add t.fetching (page, sub) inflight;
-    Stats.Counters.incr t.counters "fetches";
+    Stats.Counters.incr t.fetches;
     Fabric.send t.fabric ~src:client ~dst:(home t page) ~bytes:header_bytes
       (Fetch { req_id = t.next_req; page; sub; from = client });
     inflight
@@ -143,11 +147,11 @@ let evict_one t ~keep =
   if !victim < 0 then failwith "gms: resident budget too small";
   let page = !victim in
   let ps = Hashtbl.find t.resident page in
-  Stats.Counters.incr t.counters "evictions";
+  Stats.Counters.incr t.evictions;
   for sub = 0 to t.subs - 1 do
     if ps.present.(sub) then begin
       if ps.dirty.(sub) then begin
-        Stats.Counters.incr t.counters "writebacks";
+        Stats.Counters.incr t.writebacks;
         let data = Vm.priv_read_bytes t.vm ~off:(sub_off t ~page ~sub) ~len:t.config.subpage_bytes in
         Fabric.send t.fabric ~src:client ~dst:(home t page)
           ~bytes:(header_bytes + t.config.subpage_bytes)
@@ -179,7 +183,7 @@ let on_fault t (f : Vm.fault) =
   in
   ps.last_used <- Engine.now t.engine;
   if not ps.present.(sub) then begin
-    Stats.Counters.incr t.counters "misses";
+    Stats.Counters.incr t.misses;
     let inflight = send_fetch t ~page ~sub ~demand:true in
     let t0 = Engine.now t.engine in
     Sync.Event.wait inflight.event;
@@ -206,13 +210,15 @@ let create engine ?(config = Config.default) ~servers () =
     invalid_arg "Gms.create: subpage must divide the page size";
   let subs = config.page_size / config.subpage_bytes in
   let obj = Memobject.create ~page_size:config.page_size ~size:config.address_space () in
-  let vm = Vm.create obj in
+  let counters = Stats.Counters.create () in
+  let vm = Vm.create ~counters obj in
   for _ = 1 to subs do
     ignore (Vm.map_view vm Prot.No_access)
   done;
   ignore (Vm.map_privileged_view vm);
   let fabric =
-    Fabric.create engine ~hosts:(servers + 1) ~polling:Polling.Fast ~seed:config.seed ()
+    Fabric.create engine ~hosts:(servers + 1) ~counters ~polling:Polling.Fast
+      ~seed:config.seed ()
   in
   let t =
     {
@@ -227,7 +233,11 @@ let create engine ?(config = Config.default) ~servers () =
       fetching = Hashtbl.create 16;
       store = Array.init servers (fun _ -> Hashtbl.create 256);
       next_req = 0;
-      counters = Stats.Counters.create ();
+      counters;
+      misses = Stats.Counters.counter counters "misses";
+      fetches = Stats.Counters.counter counters "fetches";
+      evictions = Stats.Counters.counter counters "evictions";
+      writebacks = Stats.Counters.counter counters "writebacks";
       miss_stall = Stats.Summary.create ();
     }
   in
@@ -276,9 +286,9 @@ let run t = Engine.run t.engine
 (* Statistics                                                           *)
 (* ------------------------------------------------------------------ *)
 
-let page_misses t = Stats.Counters.get t.counters "misses"
-let subpage_fetches t = Stats.Counters.get t.counters "fetches"
-let evictions t = Stats.Counters.get t.counters "evictions"
-let writebacks t = Stats.Counters.get t.counters "writebacks"
-let bytes_transferred t = Stats.Counters.get (Fabric.counters t.fabric) "send.bytes"
+let page_misses t = Stats.Counters.value t.misses
+let subpage_fetches t = Stats.Counters.value t.fetches
+let evictions t = Stats.Counters.value t.evictions
+let writebacks t = Stats.Counters.value t.writebacks
+let bytes_transferred t = Stats.Counters.get t.counters "send.bytes"
 let mean_miss_us t = Stats.Summary.mean t.miss_stall

@@ -10,7 +10,8 @@ type t = {
   stride : int;  (* distance between consecutive view bases *)
   first_base : int;
   mutable handler : (fault -> unit) option;
-  counters : Stats.Counters.t;
+  read_faults : Stats.Counters.counter;
+  write_faults : Stats.Counters.counter;
 }
 
 and fault = { addr : int; access : Prot.access; view : int; vpage : int; phys_off : int }
@@ -21,7 +22,7 @@ exception Bad_address of int
 
 let max_fault_retries = 64
 
-let create obj =
+let create ~counters obj =
   let page_size = Memobject.page_size obj in
   let size = Memobject.size obj in
   (* One guard page between views catches stray pointer arithmetic. *)
@@ -33,7 +34,8 @@ let create obj =
     stride = size + page_size;
     first_base = page_size;
     handler = None;
-    counters = Stats.Counters.create ();
+    read_faults = Stats.Counters.counter counters "fault.read";
+    write_faults = Stats.Counters.counter counters "fault.write";
   }
 
 let view_count t = Array.length t.views
@@ -91,7 +93,6 @@ let protection_at t addr =
   protection t ~view:idx ~vpage
 
 let set_fault_handler t handler = t.handler <- Some handler
-let counters t = t.counters
 
 (* Check that every vpage covered by [addr, addr+len) allows [access]; on a
    violation call the handler and retry, as the hardware would re-execute the
@@ -117,8 +118,8 @@ let ensure_access t addr len access =
       let fault =
         { addr; access; view = idx; vpage = vp; phys_off = vp * t.page_size }
       in
-      Stats.Counters.incr t.counters
-        (match access with Prot.Read -> "fault.read" | Prot.Write -> "fault.write");
+      Stats.Counters.incr
+        (match access with Prot.Read -> t.read_faults | Prot.Write -> t.write_faults);
       (match t.handler with
       | None -> raise (Access_violation fault)
       | Some h ->
@@ -131,13 +132,8 @@ let ensure_access t addr len access =
 
 let mem t = Memobject.mem t.obj
 
-let read_access t addr len =
-  Stats.Counters.incr t.counters "access.read";
-  ensure_access t addr len Prot.Read
-
-let write_access t addr len =
-  Stats.Counters.incr t.counters "access.write";
-  ensure_access t addr len Prot.Write
+let read_access t addr len = ensure_access t addr len Prot.Read
+let write_access t addr len = ensure_access t addr len Prot.Write
 
 let read_u8 t addr = Phys_mem.get_u8 (mem t) (read_access t addr 1)
 let write_u8 t addr v = Phys_mem.set_u8 (mem t) (write_access t addr 1) v

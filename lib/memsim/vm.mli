@@ -32,7 +32,9 @@ exception Fault_storm of fault
 exception Bad_address of int
 (** Raised on access to an address outside every mapped view. *)
 
-val create : Memobject.t -> t
+val create : counters:Mp_util.Stats.Counters.t -> Memobject.t -> t
+(** Protection faults count into [counters] as ["fault.read"] and
+    ["fault.write"]; address spaces that share a table share the counts. *)
 
 val map_view : ?fixed:bool -> t -> Prot.t -> int
 (** Map a new view of the whole memory object with the given initial
@@ -70,9 +72,6 @@ val protection_at : t -> int -> Prot.t
 (** Protection of the vpage containing the given virtual address. *)
 
 val set_fault_handler : t -> (fault -> unit) -> unit
-
-val counters : t -> Mp_util.Stats.Counters.t
-(** ["fault.read"], ["fault.write"], ["access.read"], ["access.write"]. *)
 
 (** {2 Typed access through views (protection-checked)} *)
 

@@ -339,6 +339,85 @@ type gov = {
          verdict with no fresh writes must not keep a minipage in RC *)
 }
 
+(* Every counter the protocol writes, declared once per instance so the
+   handlers bump a handle instead of hashing a name; [counters] in the
+   interface lists the names. *)
+type counter = Stats.Counters.counter
+
+type ctrs = {
+  (* transport *) dups_suppressed : counter; retransmits : counter;
+  (* protocol *) acks : counter; barriers : counter; data_replies : counter;
+  dup_requests : counter; group_fetch_ops : counter; invalidations : counter;
+  lock_acquires : counter; prefetches : counter; pushes : counter;
+  stale_acks : counter; stale_group_acks : counter;
+  stale_group_msgs : counter; stale_inval_replies : counter;
+  stale_lock_releases : counter; upgrades : counter;
+  (* homes *) forwarded_acks : counter; migrations : counter;
+  redirects : counter; regrants : counter; replayed_releases : counter;
+  resent_group_fetches : counter; resent_pushes : counter;
+  resent_requests : counter; stale_lock_acquires : counter;
+  stale_push_acks : counter; stale_redirects : counter;
+  (* ft *) activity : counter; barrier_reconfigs : counter;
+  barrier_release_replays : counter; crashes : counter;
+  declared_dead : counter; fenced : counter; heartbeat_misses : counter;
+  heartbeats : counter; lease_revokes : counter; msgs_from_dead : counter;
+  recovered : counter; serves_to_dead : counter; shadow_refreshes : counter;
+  shadow_syncs : counter; stalls : counter; suspect_recoveries : counter;
+  suspects : counter; unserved_forwards : counter;
+  (* replicate *) log_applies : counter; promotions : counter;
+  rollbacks : counter; tail_repairs : counter;
+  (* rc *) demotes : counter; diff_bytes : counter; diffs : counter;
+  promotes : counter; resent_diffs : counter; stale_diff_acks : counter;
+  stale_diffs : counter; stale_mode_acks : counter; twins : counter;
+}
+
+let ctrs counters =
+  let c = Stats.Counters.counter counters in
+  {
+    dups_suppressed = c "transport.dups_suppressed";
+    retransmits = c "transport.retransmits";
+    acks = c "acks"; barriers = c "barriers"; data_replies = c "replies.data";
+    dup_requests = c "manager.dup_requests";
+    group_fetch_ops = c "group.fetches"; invalidations = c "invalidations";
+    lock_acquires = c "locks"; prefetches = c "prefetches"; pushes = c "pushes";
+    stale_acks = c "manager.stale_acks";
+    stale_group_acks = c "manager.stale_group_acks";
+    stale_group_msgs = c "group.stale_msgs";
+    stale_inval_replies = c "manager.stale_inval_replies";
+    stale_lock_releases = c "manager.stale_lock_releases";
+    upgrades = c "grant.upgrades";
+    forwarded_acks = c "homes.forwarded_acks";
+    migrations = c "homes.migrations"; redirects = c "homes.redirects";
+    regrants = c "homes.regrants";
+    replayed_releases = c "homes.replayed_releases";
+    resent_group_fetches = c "homes.resent_group_fetches";
+    resent_pushes = c "homes.resent_pushes";
+    resent_requests = c "homes.resent_requests";
+    stale_lock_acquires = c "homes.stale_lock_acquires";
+    stale_push_acks = c "homes.stale_push_acks";
+    stale_redirects = c "homes.stale_redirects";
+    activity = c "ft.activity"; barrier_reconfigs = c "ft.barrier_reconfigs";
+    barrier_release_replays = c "ft.barrier_release_replays";
+    crashes = c "ft.crashes"; declared_dead = c "ft.declared_dead";
+    fenced = c "ft.fenced"; heartbeat_misses = c "ft.heartbeat_misses";
+    heartbeats = c "ft.heartbeats"; lease_revokes = c "ft.lease_revokes";
+    msgs_from_dead = c "ft.msgs_from_dead_dropped";
+    recovered = c "ft.recovered_minipages";
+    serves_to_dead = c "ft.serves_to_dead_skipped";
+    shadow_refreshes = c "ft.shadow_refreshes";
+    shadow_syncs = c "ft.shadow_syncs"; stalls = c "ft.stalls";
+    suspect_recoveries = c "ft.suspect_recoveries"; suspects = c "ft.suspects";
+    unserved_forwards = c "ft.unserved_forwards";
+    log_applies = c "replicate.log_applies";
+    promotions = c "replicate.promotions"; rollbacks = c "replicate.rollbacks";
+    tail_repairs = c "replicate.tail_repairs";
+    demotes = c "rc.demotes"; diff_bytes = c "rc.diff_bytes";
+    diffs = c "rc.diffs"; promotes = c "rc.promotes";
+    resent_diffs = c "rc.resent_diffs";
+    stale_diff_acks = c "rc.stale_diff_acks"; stale_diffs = c "rc.stale_diffs";
+    stale_mode_acks = c "rc.stale_mode_acks"; twins = c "rc.twins";
+  }
+
 (* Test-only protocol mutations (see module [Testonly] below): mpcheck and
    the test suite use these to prove the checkers are not vacuously green.
    [None] in production; every hook site is a cheap match on that case. *)
@@ -386,7 +465,8 @@ type t = {
       (* lock -> (host, target home) releases sent and not yet processed *)
   groups : (int, int list) Hashtbl.t;  (* composed views: group -> minipage ids *)
   mutable next_group : int;
-  counters : Stats.Counters.t;
+  counters : Stats.Counters.t;  (* shared with the fabric and every host's vm *)
+  ctr : ctrs;
   recorder : Mp_obs.Recorder.t;
   mutable started : bool;
   (* crash-fault state.  [crashed] is ground truth (injection or fencing);
@@ -409,17 +489,9 @@ type t = {
   replicas : Directory.Replica.t array;
   log_seq : int array;
   promoted : bool array;
-  mutable promotions : int;
-  mutable tail_repairs : int;
-  mutable rolled_back : int;
-  mutable log_applies : int;
   (* adaptive-consistency state: governor signatures (keyed by mp_id, held
      logically at the minipage's home shard) and run-level mode accounting *)
   gov : (int, gov) Hashtbl.t;
-  mutable mode_switches : int;
-  mutable rc_twins : int;
-  mutable rc_diffs : int;
-  mutable rc_diff_bytes : int;
   mutable mode_switch_log : (float * int * Proto.mode) list;  (* newest first *)
   (* test-only mutation state *)
   mutable mutation : test_mutation option;
@@ -550,7 +622,7 @@ let rec transport_arm t tr ~chan ~src ~dst ~seq ~timeout =
                "millipage transport: h%d -> h%d seq %d lost after %d \
                 retransmissions"
                src dst seq t.config.net.Config.Net.max_retries);
-        Stats.Counters.incr t.counters "transport.retransmits";
+        Stats.Counters.incr t.ctr.retransmits;
         Obs.retransmit (obs t) ~time:(rnow t) ~host:src ~dst ~seq ~attempt:e.tries
           ~label:(Proto.describe e.tx_body);
         Fabric.send t.fabric ~src ~dst ~bytes:e.tx_bytes
@@ -649,7 +721,7 @@ let proceed_write t ~home (e : Directory.entry) ~req_id ~from ~supplier =
     ~supplier:(Option.value ~default:(-1) supplier);
   match supplier with
   | None ->
-    Stats.Counters.incr t.counters "grant.upgrades";
+    Stats.Counters.incr t.ctr.upgrades;
     send t ~src:home ~dst:from ~bytes:(header t)
       (Proto.Write_grant { req_id; info = info_of e.mp })
   | Some s ->
@@ -790,7 +862,7 @@ let manager_start ?(charge_lookup = true) t ~home (e : Directory.entry)
           Directory.Write_waiting_invals { req_id; from; targets; waiting = targets };
         Host_set.iter
           (fun target ->
-            Stats.Counters.incr t.counters "invalidations";
+            Stats.Counters.incr t.ctr.invalidations;
             Obs.inval_send (obs t) ~time:(rnow t) ~host:home ~span:req_id
               ~mp_id:info.mp_id ~target ~writer:from;
             send t ~src:home ~dst:target ~bytes:(header t)
@@ -885,7 +957,7 @@ let ft_migrate t ~mp_id ~to_ =
     Directory.remove t.dirs.(from_home) ~mp_id;
     Directory.adopt t.dirs.(to_) e;
     Hashtbl.replace t.home_tbl mp_id to_;
-    Stats.Counters.incr t.counters "homes.migrations";
+    Stats.Counters.incr t.ctr.migrations;
     Obs.home_assign (obs t) ~time:(rnow t) ~host:to_ ~mp_id ~home:to_;
     (* the minipage now belongs to [to_]'s log stream; the old home's stale
        replica entry is harmless (promotion walks the corpse's directory) *)
@@ -895,7 +967,7 @@ let ft_migrate t ~mp_id ~to_ =
 
 let home_redirect t ~home ~req_id ~mp_id ~from =
   let new_home = home_of_mp t mp_id in
-  Stats.Counters.incr t.counters "homes.redirects";
+  Stats.Counters.incr t.ctr.redirects;
   Obs.home_redirect (obs t) ~time:(rnow t) ~host:home ~span:req_id ~mp_id
     ~old_home:home ~new_home;
   send t ~src:home ~dst:from ~bytes:(header t)
@@ -926,7 +998,7 @@ let manager_request t ~home ~req_id ~from ~access ~addr =
       (Directory.Q_request { req_id; from; access; addr })
   end
   else begin
-    Stats.Counters.incr t.counters "manager.dup_requests";
+    Stats.Counters.incr t.ctr.dup_requests;
     Obs.dup_suppressed (obs t) ~time:(rnow t) ~host:home ~span:req_id ~src:from
       ~seq:(-1)
       ~label:(Printf.sprintf "REQUEST(%s @%d)" (Proto.access_to_string access) addr)
@@ -958,7 +1030,7 @@ let manager_inval_reply t ~home ~req_id ~mp_id ~from =
   | _ ->
     (* stale: the write this inval belonged to already went through *)
     if Directory.completed t.dirs.(home) ~req_id then begin
-      Stats.Counters.incr t.counters "manager.stale_inval_replies";
+      Stats.Counters.incr t.ctr.stale_inval_replies;
       Obs.dup_suppressed (obs t) ~time:(rnow t) ~host:home ~span:req_id
         ~src:from ~seq:(-1)
         ~label:(Printf.sprintf "INVALIDATE_REPLY(mp%d)" mp_id) ()
@@ -984,7 +1056,7 @@ let manager_ack t ~home ~req_id ~mp_id ~from =
   let e = Directory.entry t.dirs.(home) ~mp_id in
   if Directory.completed t.dirs.(home) ~req_id then begin
     (* a retransmitted ack for an operation that already closed: tolerate *)
-    Stats.Counters.incr t.counters "manager.stale_acks";
+    Stats.Counters.incr t.ctr.stale_acks;
     Obs.dup_suppressed (obs t) ~time:(rnow t) ~host:home ~span:req_id ~src:from
       ~seq:(-1)
       ~label:(Printf.sprintf "ACK(mp%d)" mp_id) ()
@@ -1028,7 +1100,7 @@ let finish_push ?charge_lookup t ~home (e : Directory.entry) ~req_id ~from =
 
 let manager_push_ack t ~home ~mp_id ~from =
   match Directory.find t.dirs.(home) ~mp_id with
-  | None -> Stats.Counters.incr t.counters "homes.stale_push_acks"
+  | None -> Stats.Counters.incr t.ctr.stale_push_acks
   | Some e -> (
     match e.pending with
     | Directory.Push_waiting_acks p ->
@@ -1038,7 +1110,7 @@ let manager_push_ack t ~home ~mp_id ~from =
     | _ ->
       (* PUSH_UPDATE_ACK carries no req_id, so after crash recovery re-sent
          a push, a straggler ack for the aborted attempt can still land *)
-      if ft_on t then Stats.Counters.incr t.counters "homes.stale_push_acks"
+      if ft_on t then Stats.Counters.incr t.ctr.stale_push_acks
       else failwith "millipage: unexpected PUSH_UPDATE_ACK")
 
 (* ------------------------------------------------------------------ *)
@@ -1115,7 +1187,7 @@ let manager_group_ack t ~home ~req_id ~from ~mp_ids =
   List.iter
     (fun mp_id ->
       match Directory.find t.dirs.(home) ~mp_id with
-      | None -> Stats.Counters.incr t.counters "manager.stale_group_acks"
+      | None -> Stats.Counters.incr t.ctr.stale_group_acks
       | Some e -> (
         match e.pending with
         | Directory.Reads_in_flight r -> (
@@ -1130,8 +1202,8 @@ let manager_group_ack t ~home ~req_id ~from ~mp_ids =
             if rest = [] then e.pending <- Directory.No_op;
             log_entry_state t ~home e;
             manager_drain_queue t ~home e
-          | [], _ -> Stats.Counters.incr t.counters "manager.stale_group_acks")
-        | _ -> Stats.Counters.incr t.counters "manager.stale_group_acks"))
+          | [], _ -> Stats.Counters.incr t.ctr.stale_group_acks)
+        | _ -> Stats.Counters.incr t.ctr.stale_group_acks))
     mp_ids
 
 (* ------------------------------------------------------------------ *)
@@ -1171,8 +1243,7 @@ let demote_entry t ~home (e : Directory.entry) =
   let targets = Host_set.filter (fun x -> not t.declared.(x)) e.copyset in
   e.mode <- Proto.Sc;
   e.epoch <- e.epoch + 1;
-  t.mode_switches <- t.mode_switches + 1;
-  Stats.Counters.incr t.counters "rc.demotes";
+  Stats.Counters.incr t.ctr.demotes;
   t.mode_switch_log <- (rnow t, info.mp_id, Proto.Sc) :: t.mode_switch_log;
   if Host_set.is_empty targets then complete_mode_switch t ~home e
   else begin
@@ -1201,8 +1272,7 @@ let promote_entry t ~home (e : Directory.entry) =
   then begin
     e.mode <- Proto.Rc;
     e.epoch <- e.epoch + 1;
-    t.mode_switches <- t.mode_switches + 1;
-    Stats.Counters.incr t.counters "rc.promotes";
+    Stats.Counters.incr t.ctr.promotes;
     t.mode_switch_log <- (rnow t, info.mp_id, Proto.Rc) :: t.mode_switch_log;
     if home_has_copy then begin
       e.shadow <- Some (Vm.priv_read_bytes hh.vm ~off:info.base_off ~len:info.length);
@@ -1229,7 +1299,7 @@ let promote_entry t ~home (e : Directory.entry) =
 
 let manager_mode_ack t ~home ~mp_id ~epoch ~from ~data =
   match Directory.find t.dirs.(home) ~mp_id with
-  | None -> Stats.Counters.incr t.counters "rc.stale_mode_acks"
+  | None -> Stats.Counters.incr t.ctr.stale_mode_acks
   | Some e -> (
     match e.pending with
     | Directory.Mode_switch_wait w when w.epoch = epoch ->
@@ -1244,7 +1314,7 @@ let manager_mode_ack t ~home ~mp_id ~epoch ~from ~data =
       | _ -> ());
       w.waiting <- Host_set.remove from w.waiting;
       if Host_set.is_empty w.waiting then complete_mode_switch t ~home e
-    | _ -> Stats.Counters.incr t.counters "rc.stale_mode_acks")
+    | _ -> Stats.Counters.incr t.ctr.stale_mode_acks)
 
 (* A release-time diff reached a home: apply it to the master copy and ack
    the releaser.  Runs carry absolute replacement bytes, so application is
@@ -1257,7 +1327,7 @@ let manager_rc_diff t ~home ~req_id ~from ~mp_id ~epoch ~(diff : Twin_diff.t) =
   let authoritative = home_of_mp t mp_id in
   if authoritative <> home then begin
     (* stale hint: pass the diff along to the authoritative home *)
-    Stats.Counters.incr t.counters "homes.forwarded_acks";
+    Stats.Counters.incr t.ctr.forwarded_acks;
     send t ~src:home ~dst:authoritative
       ~bytes:(header t + Twin_diff.encoded_bytes diff)
       (Proto.Rc_diff { req_id; from; mp_id; epoch; diff })
@@ -1298,8 +1368,8 @@ let manager_rc_diff t ~home ~req_id ~from ~mp_id ~epoch ~(diff : Twin_diff.t) =
           gov_note_diff t mp_id ~from diff;
           log_append t ~home (Proto.L_diff { mp_id; diff })
         end
-      | None -> Stats.Counters.incr t.counters "rc.stale_diffs")
-    else Stats.Counters.incr t.counters "rc.stale_diffs";
+      | None -> Stats.Counters.incr t.ctr.stale_diffs)
+    else Stats.Counters.incr t.ctr.stale_diffs;
     if not t.declared.(from) then
       send t ~src:home ~dst:from ~bytes:(header t) (Proto.Rc_diff_ack { req_id; mp_id })
   end
@@ -1390,7 +1460,7 @@ let shadow_sync_host t ~host =
         (Directory.entries dir))
     t.dirs;
   if !refreshed > 0 then begin
-    Stats.Counters.incr t.counters "ft.shadow_syncs";
+    Stats.Counters.incr t.ctr.shadow_syncs;
     Obs.shadow_sync (obs t) ~time:(rnow t) ~host ~refreshed:!refreshed
   end
 
@@ -1455,7 +1525,7 @@ let manager_lock_acquire t ~home ~from ~tid ~lock =
   if already then
     (* recovery re-enqueued this request from the sender's ground truth and
        the original acquire straggled in afterwards (or vice versa) *)
-    Stats.Counters.incr t.counters "homes.stale_lock_acquires"
+    Stats.Counters.incr t.ctr.stale_lock_acquires
   else
     match s.holder with
     | Some _ -> Queue.add (from, tid) s.lock_queue
@@ -1474,12 +1544,12 @@ let lock_release_engine t ~home ~from ~lock =
   | None ->
     if ft_on t then
       (* recovery can legitimately produce a straggling duplicate *)
-      Stats.Counters.incr t.counters "manager.stale_lock_releases"
+      Stats.Counters.incr t.ctr.stale_lock_releases
     else failwith "millipage: release of a free lock"
   | Some (hh, _) when hh <> from ->
     (* the lease was revoked (holder declared dead) while this release was in
        flight, or a fenced host's release straggled in: ignore it *)
-    Stats.Counters.incr t.counters "manager.stale_lock_releases"
+    Stats.Counters.incr t.ctr.stale_lock_releases
   | Some _ -> (
     match next_live_waiter t s with
     | Some next -> grant_lock t ~home s ~lock ~to_:next
@@ -1505,7 +1575,7 @@ let manager_lock_release t ~home ~from ~lock =
 (* ------------------------------------------------------------------ *)
 
 let server_ack t (h : host_state) ~req_id ~mp_id =
-  Stats.Counters.incr t.counters "acks";
+  Stats.Counters.incr t.ctr.acks;
   send t ~src:h.id ~dst:(hint_of h mp_id) ~bytes:(header t)
     (Proto.Ack { req_id; mp_id; from = h.id })
 
@@ -1517,7 +1587,7 @@ let shadow_refresh t (info : Proto.info) data =
     let home = home_of_mp t info.mp_id in
     let e = Directory.entry t.dirs.(home) ~mp_id:info.mp_id in
     e.shadow <- Some (Bytes.copy data);
-    Stats.Counters.incr t.counters "ft.shadow_refreshes";
+    Stats.Counters.incr t.ctr.shadow_refreshes;
     Obs.shadow_refresh (obs t) ~time:(rnow t) ~host:home ~mp_id:info.mp_id
       ~bytes:info.length;
     log_shadow t ~home e
@@ -1529,7 +1599,7 @@ let host_forward t (h : host_state) ~req_id ~from ~access (info : Proto.info) =
     (* never serve a declared-dead requester, even before its DEAD_NOTICE
        lands here: the home scrubbed this flight at declaration, leaving an
        unserved write's copy with this supplier *)
-    Stats.Counters.incr t.counters "ft.serves_to_dead_skipped"
+    Stats.Counters.incr t.ctr.serves_to_dead
   else begin
     (match access with
     | Proto.Read ->
@@ -1562,7 +1632,7 @@ let host_forward t (h : host_state) ~req_id ~from ~access (info : Proto.info) =
     in
     send t ~src:h.id ~dst:from ~bytes:(header t)
       (Proto.Reply_header { req_id; access; info });
-    Stats.Counters.incr t.counters "replies.data";
+    Stats.Counters.incr t.ctr.data_replies;
     send t ~src:h.id ~dst:from
       ~bytes:(Cost_model.data_message_bytes cost info.length)
       (Proto.Reply_data { req_id; access; info; data })
@@ -1638,7 +1708,7 @@ let host_rc_data t (h : host_state) ~req_id ~access (info : Proto.info) ~epoch d
     if c.rc_twin = None then begin
       Engine.delay (Twin_diff.creation_cost_us ~page_bytes:info.length);
       c.rc_twin <- Some (Twin_diff.twin data);
-      t.rc_twins <- t.rc_twins + 1
+      Stats.Counters.incr t.ctr.twins
     end;
     Engine.delay (set_prot_cost t info);
     protect_info t h info Prot.Read_write);
@@ -1655,14 +1725,14 @@ let rc_write_local t (h : host_state) (c : rc_copy) =
     Engine.delay (Twin_diff.creation_cost_us ~page_bytes:info.length);
     c.rc_twin <-
       Some (Twin_diff.twin (Vm.priv_read_bytes h.vm ~off:info.base_off ~len:info.length));
-    t.rc_twins <- t.rc_twins + 1
+    Stats.Counters.incr t.ctr.twins
   end;
   Engine.delay (set_prot_cost t info);
   protect_info t h info Prot.Read_write
 
 let host_rc_diff_ack t (h : host_state) ~req_id =
   match Hashtbl.find_opt h.rc_out req_id with
-  | None -> Stats.Counters.incr t.counters "rc.stale_diff_acks"
+  | None -> Stats.Counters.incr t.ctr.stale_diff_acks
   | Some o ->
     Hashtbl.remove h.rc_out req_id;
     if o.rd_waited then begin
@@ -1702,8 +1772,8 @@ let rc_flush t (h : host_state) =
           in
           Hashtbl.replace h.rc_out req_id o;
           h.rc_flush_pending <- h.rc_flush_pending + 1;
-          t.rc_diffs <- t.rc_diffs + 1;
-          t.rc_diff_bytes <- t.rc_diff_bytes + Twin_diff.encoded_bytes diff;
+          Stats.Counters.incr t.ctr.diffs;
+          Stats.Counters.add t.ctr.diff_bytes (Twin_diff.encoded_bytes diff);
           send t ~src:h.id ~dst:o.rd_target
             ~bytes:(header t + Twin_diff.encoded_bytes diff)
             (Proto.Rc_diff { req_id; from = h.id; mp_id; epoch = c.rc_epoch; diff })
@@ -1766,8 +1836,8 @@ let host_mode_switch t (h : host_state) ~mp_id ~epoch ~mode (info : Proto.info) 
             rd_target = hint_of h mp_id; rd_waited = false }
         in
         Hashtbl.replace h.rc_out req_id o;
-        t.rc_diffs <- t.rc_diffs + 1;
-        t.rc_diff_bytes <- t.rc_diff_bytes + Twin_diff.encoded_bytes diff;
+        Stats.Counters.incr t.ctr.diffs;
+        Stats.Counters.add t.ctr.diff_bytes (Twin_diff.encoded_bytes diff);
         send t ~src:h.id ~dst:o.rd_target
           ~bytes:(header t + Twin_diff.encoded_bytes diff)
           (Proto.Rc_diff { req_id; from = h.id; mp_id; epoch = c.rc_epoch; diff })
@@ -1818,7 +1888,7 @@ let group_fetch_check gf =
 let host_forward_group t (h : host_state) ~req_id ~from members =
   let cost = t.config.cost in
   if ft_on t && Host_set.mem from h.dead_peers then
-    Stats.Counters.incr t.counters "ft.serves_to_dead_skipped"
+    Stats.Counters.incr t.ctr.serves_to_dead
   else begin
   let payload =
     List.map
@@ -1857,7 +1927,7 @@ let host_group_data t (h : host_state) ~req_id members =
   | None ->
     (* the data is still useful (written and protected above); only the
        completion bookkeeping is stale *)
-    Stats.Counters.incr t.counters "group.stale_msgs"
+    Stats.Counters.incr t.ctr.stale_group_msgs
   | Some gf ->
     gf.gf_received <- gf.gf_received + 1;
     gf.gf_mp_ids <-
@@ -1868,7 +1938,7 @@ let host_group_data t (h : host_state) ~req_id members =
 
 let host_group_plan t (h : host_state) ~req_id ~batches =
   match Hashtbl.find_opt h.group_fetches req_id with
-  | None -> Stats.Counters.incr t.counters "group.stale_msgs"
+  | None -> Stats.Counters.incr t.ctr.stale_group_msgs
   | Some gf ->
     gf.gf_expected <- Some batches;
     group_fetch_check gf
@@ -1982,7 +2052,7 @@ let host_home_redirect t (h : host_state) ~req_id ~mp_id ~home =
     | None ->
       (* the operation completed through another path (e.g. a duplicate was
          redirected after the original was served) *)
-      Stats.Counters.incr t.counters "homes.stale_redirects")
+      Stats.Counters.incr t.ctr.stale_redirects)
 
 (* ------------------------------------------------------------------ *)
 (* Crash faults: injection, failure detection, recovery                *)
@@ -1998,7 +2068,7 @@ let crash_host t h ~fenced =
     t.crashed.(h) <- true;
     Fabric.crash t.fabric ~host:h;
     ignore (Engine.kill_group t.engine h);
-    Stats.Counters.incr t.counters (if fenced then "ft.fenced" else "ft.crashes");
+    Stats.Counters.incr (if fenced then t.ctr.fenced else t.ctr.crashes);
     if not fenced then Obs.host_crash (obs t) ~time:(rnow t) ~host:h;
     if all_live_done t then t.ft_stop <- true
   end
@@ -2006,7 +2076,7 @@ let crash_host t h ~fenced =
 let stall_host t h ~until =
   if not (t.crashed.(h) || t.declared.(h)) then begin
     Fabric.stall t.fabric ~host:h ~until;
-    Stats.Counters.incr t.counters "ft.stalls";
+    Stats.Counters.incr t.ctr.stalls;
     Obs.host_stall (obs t) ~time:(rnow t) ~host:h ~until
   end
 
@@ -2045,15 +2115,12 @@ let install_shadow t (e : Directory.entry) ~dead ~at =
            info.mp_id dead)
   in
   let mh = t.host_states.(at) in
-  if dead_wrote t dead e data then begin
-    t.rolled_back <- t.rolled_back + 1;
-    Stats.Counters.incr t.counters "replicate.rollbacks"
-  end;
+  if dead_wrote t dead e data then Stats.Counters.incr t.ctr.rollbacks;
   Vm.priv_write_bytes mh.vm ~off:info.base_off data;
   protect_info t mh info Prot.Read_only;
   e.owner <- at;
   e.copyset <- Host_set.singleton at;
-  Stats.Counters.incr t.counters "ft.recovered_minipages";
+  Stats.Counters.incr t.ctr.recovered;
   Obs.recover_minipage (obs t) ~time:(rnow t) ~host:at ~span:0 ~mp_id:info.mp_id
 
 (* Walk one directory shard and erase host [h] from it: drop its queued
@@ -2166,7 +2233,7 @@ let scrub_shard t ~home h =
             (* the FORWARD is still in transit (only loss delays it past the
                declare timeout): the supplier keeps the only valid copy, and
                [host_forward] will not hand it to the fenced writer *)
-            Stats.Counters.incr t.counters "ft.unserved_forwards";
+            Stats.Counters.incr t.ctr.unserved_forwards;
             e.owner <- w.supplier;
             e.copyset <- Host_set.singleton w.supplier
           end
@@ -2235,7 +2302,7 @@ let revoke_leases t h ~site =
         | None ->
           s.holder <- None;
           s.granted_from <- -1);
-        Stats.Counters.incr t.counters "ft.lease_revokes";
+        Stats.Counters.incr t.ctr.lease_revokes;
         Obs.lease_revoke (obs t) ~time:(rnow t) ~host:h ~lock
           ~next:(match next with Some (n, _) -> n | None -> -1)
       | _ -> ())
@@ -2258,7 +2325,7 @@ let rebuild_locks t h ~site =
       entries := List.filter (fun (from, _) -> not t.declared.(from)) rest;
       List.iter
         (fun (from, _) ->
-          Stats.Counters.incr t.counters "homes.replayed_releases";
+          Stats.Counters.incr t.ctr.replayed_releases;
           lock_release_engine t ~home:site ~from ~lock)
         swallowed)
     t.pending_releases;
@@ -2284,7 +2351,7 @@ let rebuild_locks t h ~site =
                outstanding it was swallowed (or may race recovery — the
                receiver dedupes), so re-send it from host 0 *)
             if s.granted_from = h then begin
-              Stats.Counters.incr t.counters "homes.regrants";
+              Stats.Counters.incr t.ctr.regrants;
               grant_lock t ~home:site s ~lock ~to_:(from, tid)
             end
           end
@@ -2314,7 +2381,7 @@ let rebuild_barriers t h ~site =
   List.iter
     (fun phase ->
       Hashtbl.replace t.released_phases phase site;
-      Stats.Counters.incr t.counters "ft.barrier_release_replays";
+      Stats.Counters.incr t.ctr.barrier_release_replays;
       for dst = 0 to hosts t - 1 do
         if not t.declared.(dst) then
           send t ~src:site ~dst ~bytes:(header t) (Proto.Barrier_release { phase })
@@ -2334,7 +2401,7 @@ let rebuild_barriers t h ~site =
             l
         in
         entered := List.filter (fun (from, _) -> not t.declared.(from)) !sent;
-        Stats.Counters.incr t.counters "ft.barrier_reconfigs";
+        Stats.Counters.incr t.ctr.barrier_reconfigs;
         Obs.barrier_reconfig (obs t) ~time:(rnow t) ~host:site ~bphase:phase
           ~expected:target;
         if List.length !entered >= target then
@@ -2401,8 +2468,7 @@ let promote_backup t ~dead:h ~backup:b =
     (fun (req_id, at) ->
       if not (Directory.completed dir_b ~req_id) then begin
         Directory.mark_completed dir_b ~req_id ~now:at;
-        t.tail_repairs <- t.tail_repairs + 1;
-        Stats.Counters.incr t.counters "replicate.tail_repairs";
+        Stats.Counters.incr t.ctr.tail_repairs;
         Obs.log_replay (obs t) ~time:now ~host:b ~span:req_id ~primary:h
           ~mp_id:(-1) ~via:"completion" ()
       end)
@@ -2511,8 +2577,7 @@ let promote_backup t ~dead:h ~backup:b =
         if agreed then
           Obs.log_replay (obs t) ~time:now ~host:b ~primary:h ~mp_id ~via:"log" ()
         else begin
-          t.tail_repairs <- t.tail_repairs + 1;
-          Stats.Counters.incr t.counters "replicate.tail_repairs";
+          Stats.Counters.incr t.ctr.tail_repairs;
           Obs.log_replay (obs t) ~time:now ~host:b ~primary:h ~mp_id
             ~via:"protections" ()
         end
@@ -2537,8 +2602,7 @@ let promote_backup t ~dead:h ~backup:b =
           ~via:"open-admission" ()
       end)
     (Directory.Replica.open_admissions rep);
-  t.promotions <- t.promotions + 1;
-  Stats.Counters.incr t.counters "replicate.promotions";
+  Stats.Counters.incr t.ctr.promotions;
   Obs.backup_promote (obs t) ~time:now ~host:b ~primary:h ~backup:b
     ~entries:(List.length entries) ~applied:(Directory.Replica.applied rep)
 
@@ -2557,7 +2621,7 @@ let resend_orphans t h ~to_ =
               let req_id = fresh_req t in
               e.req_id <- req_id;
               e.target <- to_;
-              Stats.Counters.incr t.counters "homes.resent_requests";
+              Stats.Counters.incr t.ctr.resent_requests;
               Obs.request_sent (obs t) ~time:now ~host:hs.id ~span:req_id
                 ~access:(obs_access e.access) ~addr:e.addr ~prefetch:e.by_prefetch;
               send t ~src:hs.id ~dst:to_ ~bytes:(header t)
@@ -2577,7 +2641,7 @@ let resend_orphans t h ~to_ =
             let req_id = fresh_req t in
             pw.pu_target <- to_;
             Hashtbl.replace hs.push_waiters req_id pw;
-            Stats.Counters.incr t.counters "homes.resent_pushes";
+            Stats.Counters.incr t.ctr.resent_pushes;
             send t ~src:hs.id ~dst:to_
               ~bytes:(header t + pw.pu_info.Proto.length)
               (Proto.Push
@@ -2597,7 +2661,7 @@ let resend_orphans t h ~to_ =
             gf.gf_expected <- None;
             gf.gf_received <- 0;
             Hashtbl.replace hs.group_fetches req_id gf;
-            Stats.Counters.incr t.counters "homes.resent_group_fetches";
+            Stats.Counters.incr t.ctr.resent_group_fetches;
             send t ~src:hs.id ~dst:to_ ~bytes:(header t)
               (Proto.Group_fetch { req_id; from = hs.id; group_id = gf.gf_group }))
           orphan_fetches;
@@ -2619,7 +2683,7 @@ let resend_orphans t h ~to_ =
             rd.rd_req <- req_id;
             rd.rd_target <- to_;
             Hashtbl.replace hs.rc_out req_id rd;
-            Stats.Counters.incr t.counters "rc.resent_diffs";
+            Stats.Counters.incr t.ctr.resent_diffs;
             send t ~src:hs.id ~dst:to_
               ~bytes:(header t + Twin_diff.encoded_bytes rd.rd_diff)
               (Proto.Rc_diff
@@ -2634,7 +2698,7 @@ let resend_orphans t h ~to_ =
 let declare_dead t h =
   if not t.declared.(h) then begin
     t.declared.(h) <- true;
-    Stats.Counters.incr t.counters "ft.declared_dead";
+    Stats.Counters.incr t.ctr.declared_dead;
     Obs.declare_dead (obs t) ~time:(rnow t) ~host:h;
     crash_host t h ~fenced:true;
     (match t.transport with
@@ -2722,24 +2786,24 @@ let detector_tick t (ft : Config.Ft.t) =
       else if silent > ft.suspect_after_us then begin
         if not t.suspected.(h) then begin
           t.suspected.(h) <- true;
-          Stats.Counters.incr t.counters "ft.suspects";
+          Stats.Counters.incr t.ctr.suspects;
           Obs.suspect (obs t) ~time:now ~host:h
         end;
-        Stats.Counters.incr t.counters "ft.heartbeat_misses";
+        Stats.Counters.incr t.ctr.heartbeat_misses;
         Obs.heartbeat_miss (obs t) ~time:now ~host:h
           ~missed:(int_of_float (silent /. ft.hb_interval_us))
       end
       else if t.suspected.(h) then begin
         (* the stall ended before the declare timeout: suspicion retracted *)
         t.suspected.(h) <- false;
-        Stats.Counters.incr t.counters "ft.suspect_recoveries"
+        Stats.Counters.incr t.ctr.suspect_recoveries
       end
     end
   done;
   (* deadlock watchdog: no protocol progress (non-heartbeat dispatches or
      thread completions) for deadlock_ticks detector periods *)
   let s =
-    Stats.Counters.get t.counters "ft.activity" + t.finished_threads
+    Stats.Counters.value t.ctr.activity + t.finished_threads
   in
   if s = t.watchdog_sig then begin
     t.watchdog_idle <- t.watchdog_idle + 1;
@@ -2774,7 +2838,7 @@ let start_ft t (ft : Config.Ft.t) =
              && Engine.now t.engine >= Fabric.stalled_until t.fabric ~host:h
           then begin
             incr beat;
-            Stats.Counters.incr t.counters "ft.heartbeats";
+            Stats.Counters.incr t.ctr.heartbeats;
             Fabric.send t.fabric ~src:h ~dst:manager ~bytes:(header t)
               (Proto.Datagram (Proto.Heartbeat { from = h; beat = !beat }))
           end
@@ -2799,12 +2863,12 @@ let dispatch t (h : host_state) (body : Proto.body) =
   (if ft_on t then
      match body with
      | Proto.Heartbeat _ -> ()
-     | _ -> Stats.Counters.incr t.counters "ft.activity");
+     | _ -> Stats.Counters.incr t.ctr.activity);
   (* control acks can chase a minipage that migrated away (stale hint at the
      sender): forward them to the authoritative home — one extra hop, after
      which the sender's hint has usually been repaired anyway *)
   let forward_to_home ~mp_id body =
-    Stats.Counters.incr t.counters "homes.forwarded_acks";
+    Stats.Counters.incr t.ctr.forwarded_acks;
     send t ~src:h.id ~dst:(home_of_mp t mp_id) ~bytes:(header t) body
   in
   match body with
@@ -2921,8 +2985,8 @@ let dispatch t (h : host_state) (body : Proto.body) =
        already-declared primary never reaches here ([on_message] drops it) *)
     Engine.delay cost.sync_dispatch_us;
     Directory.Replica.apply t.replicas.(primary) ~lseq record;
-    t.log_applies <- t.log_applies + 1;
-    if t.log_applies land 255 = 0 then
+    Stats.Counters.incr t.ctr.log_applies;
+    if Stats.Counters.value t.ctr.log_applies land 255 = 0 then
       ignore
         (Directory.Replica.prune t.replicas.(primary)
            ~before:(rnow t -. t.idem_retention_us));
@@ -2937,7 +3001,7 @@ let on_message t (h : host_state) (m : Proto.packet Fabric.msg) =
   if ft_on t && t.declared.(m.Fabric.src) then
     (* a straggler from a declared-dead host (sent before it was silenced):
        never let the protocol hear from the dead *)
-    Stats.Counters.incr t.counters "ft.msgs_from_dead_dropped"
+    Stats.Counters.incr t.ctr.msgs_from_dead
   else
   match t.transport with
   | None -> (
@@ -2956,7 +3020,7 @@ let on_message t (h : host_state) (m : Proto.packet Fabric.msg) =
       Fabric.send t.fabric ~src:h.id ~dst:m.src ~bytes:(header t)
         (Proto.Tack { seq });
       if seq < tr.rx_next.(chan) || Hashtbl.mem tr.rx_hold (chan, seq) then begin
-        Stats.Counters.incr t.counters "transport.dups_suppressed";
+        Stats.Counters.incr t.ctr.dups_suppressed;
         Obs.dup_suppressed (obs t) ~time:(rnow t) ~host:h.id ~src:m.src ~seq
           ~label:(Proto.describe body) ()
       end
@@ -3113,8 +3177,10 @@ let create engine ~hosts:nhosts ?(config = Config.default) () =
         if at < 0.0 || dur <= 0.0 then invalid_arg "Dsm.create: ft.stalls time")
       ft.stalls);
   if config.homes.Config.Homes.block < 1 then invalid_arg "Dsm.create: homes.block";
+  let counters = Stats.Counters.create () in
   let fabric =
-    Fabric.create engine ~hosts:nhosts ~polling:config.polling ~seed:config.seed
+    Fabric.create engine ~hosts:nhosts ~counters ~polling:config.polling
+      ~seed:config.seed
       ~faults:config.net.Config.Net.faults ~fault_seed:config.net.Config.Net.seed ()
   in
   let transport =
@@ -3130,7 +3196,7 @@ let create engine ~hosts:nhosts ?(config = Config.default) () =
   in
   let mk_host id =
     let obj = Memobject.create ~page_size:config.page_size ~size:config.object_size () in
-    let vm = Vm.create obj in
+    let vm = Vm.create ~counters obj in
     for _ = 1 to config.views do
       ignore (Vm.map_view vm Prot.No_access)
     done;
@@ -3190,7 +3256,8 @@ let create engine ~hosts:nhosts ?(config = Config.default) () =
       pending_releases = Hashtbl.create 8;
       groups = Hashtbl.create 8;
       next_group = 0;
-      counters = Stats.Counters.create ();
+      counters;
+      ctr = ctrs counters;
       recorder = Mp_obs.Recorder.create ~capacity:4096 ();
       started = false;
       crashed = Array.make nhosts false;
@@ -3207,15 +3274,7 @@ let create engine ~hosts:nhosts ?(config = Config.default) () =
       replicas = Array.init nhosts (fun _ -> Directory.Replica.create ());
       log_seq = Array.make nhosts 0;
       promoted = Array.make nhosts false;
-      promotions = 0;
-      tail_repairs = 0;
-      rolled_back = 0;
-      log_applies = 0;
       gov = Hashtbl.create 64;
-      mode_switches = 0;
-      rc_twins = 0;
-      rc_diffs = 0;
-      rc_diff_bytes = 0;
       mode_switch_log = [];
       mutation = None;
       mutation_count = 0;
@@ -3365,7 +3424,7 @@ let barrier ctx =
       ev
   in
   let t0 = Engine.now t.engine in
-  Stats.Counters.incr t.counters "barriers";
+  Stats.Counters.incr t.ctr.barriers;
   Obs.barrier_enter (obs t) ~time:t0 ~host:h.id ~bphase:phase;
   (* barrier entry is a release: flush this host's dirty RC copies to their
      homes (and wait for the acks) before announcing arrival *)
@@ -3401,7 +3460,7 @@ let lock ctx l =
   in
   Queue.add ev q;
   let t0 = Engine.now t.engine in
-  Stats.Counters.incr t.counters "locks";
+  Stats.Counters.incr t.ctr.lock_acquires;
   Obs.lock_acquire (obs t) ~time:t0 ~host:h.id ~lock:l;
   let target = sync_home t l in
   let reqs =
@@ -3448,7 +3507,7 @@ let prefetch ctx addr access =
   if Prot.allows prot needed then ()
   else if find_joinable h ~view ~vpage access <> None then ()
   else begin
-    Stats.Counters.incr t.counters "prefetches";
+    Stats.Counters.incr t.ctr.prefetches;
     let e = send_request t h ~view ~vpage ~access ~addr ~by_prefetch:true in
     Obs.prefetch_issued (obs t) ~time:(rnow t) ~host:h.id ~span:e.req_id
       ~access:(obs_access access) ~addr;
@@ -3482,7 +3541,7 @@ let push_to_all ctx addr =
     { pu_event = ev; pu_info = info; pu_data = data; pu_target = hint_of h info.mp_id }
   in
   Hashtbl.replace h.push_waiters req_id pw;
-  Stats.Counters.incr t.counters "pushes";
+  Stats.Counters.incr t.ctr.pushes;
   let t0 = Engine.now t.engine in
   send t ~src:h.id ~dst:pw.pu_target
     ~bytes:(header t + info.length)
@@ -3521,7 +3580,7 @@ let fetch_group ctx group_id =
   (* one sub-fetch per distinct home the group's minipages hint to; under the
      central policy this collapses to the single manager round-trip *)
   let targets = List.sort_uniq compare (List.map (fun id -> hint_of h id) members) in
-  Stats.Counters.incr t.counters "group.fetches";
+  Stats.Counters.incr t.ctr.group_fetch_ops;
   let t0 = Engine.now t.engine in
   List.iter
     (fun target ->
@@ -3552,23 +3611,13 @@ let breakdown_total t =
 let competing_requests t =
   Array.fold_left (fun acc dir -> acc + Directory.competing_requests dir) 0 t.dirs
 
-let sum_host_counter t key =
-  Array.fold_left
-    (fun acc h -> acc + Stats.Counters.get (Vm.counters h.vm) key)
-    0 t.host_states
-
-let read_faults t = sum_host_counter t "fault.read"
-let write_faults t = sum_host_counter t "fault.write"
-let barriers_entered t = Stats.Counters.get t.counters "barriers"
-let locks_acquired t = Stats.Counters.get t.counters "locks"
-let messages_sent t = Stats.Counters.get (Fabric.counters t.fabric) "send.count"
-let bytes_sent t = Stats.Counters.get (Fabric.counters t.fabric) "send.bytes"
+let read_faults t = Stats.Counters.get t.counters "fault.read"
+let write_faults t = Stats.Counters.get t.counters "fault.write"
+let messages_sent t = Stats.Counters.get t.counters "send.count"
+let bytes_sent t = Stats.Counters.get t.counters "send.bytes"
 let mpt t = Allocator.mpt t.allocator
 let views_used t = Allocator.views_used t.allocator
 let counters t = t.counters
-let max_queue_depth t =
-  Array.fold_left (fun acc dir -> max acc (Directory.max_queue_depth dir)) 0 t.dirs
-
 let max_queue_depth_by_home t = Array.map Directory.max_queue_depth t.dirs
 
 let home_of t ~addr =
@@ -3581,13 +3630,7 @@ let homes t =
   let max_id = Hashtbl.fold (fun id _ acc -> max id acc) t.home_tbl (-1) in
   Array.init (max_id + 1) (fun id -> home_of_mp t id)
 
-let home_redirects t = Stats.Counters.get t.counters "homes.redirects"
 let faulty t = Fabric.faulty t.fabric
-let retransmits t = Stats.Counters.get t.counters "transport.retransmits"
-let dups_suppressed t = Stats.Counters.get t.counters "transport.dups_suppressed"
-let net_dropped t = Stats.Counters.get (Fabric.counters t.fabric) "net.dropped"
-let net_duplicated t = Stats.Counters.get (Fabric.counters t.fabric) "net.duplicated"
-let net_reordered t = Stats.Counters.get (Fabric.counters t.fabric) "net.reordered"
 
 (* ------------------------------------------------------------------ *)
 (* Crash-fault statistics                                              *)
@@ -3599,11 +3642,6 @@ let hosts_where a =
 
 let crashed_hosts t = hosts_where t.crashed
 let declared_dead t = hosts_where t.declared
-let heartbeats_sent t = Stats.Counters.get t.counters "ft.heartbeats"
-let leases_revoked t = Stats.Counters.get t.counters "ft.lease_revokes"
-
-let recovered_minipages t =
-  Stats.Counters.get t.counters "ft.recovered_minipages"
 
 let idempotence_size t =
   Array.fold_left (fun acc dir -> acc + Directory.idempotence_size dir) 0 t.dirs
@@ -3613,11 +3651,7 @@ let idempotence_size t =
 (* ------------------------------------------------------------------ *)
 
 let replication_on = replicating
-let backup_promotions t = t.promotions
 let log_records_sent t = Array.fold_left ( + ) 0 t.log_seq
-let log_records_applied t = t.log_applies
-let tail_repairs t = t.tail_repairs
-let rolled_back_minipages t = t.rolled_back
 let promoted_homes t = hosts_where t.promoted
 
 (* ------------------------------------------------------------------ *)
@@ -3646,10 +3680,6 @@ let modes t =
     t.dirs;
   [ (Proto.Sc, !sc); (Proto.Rc, !rc) ]
 
-let mode_switches t = t.mode_switches
-let rc_twins t = t.rc_twins
-let rc_diffs t = t.rc_diffs
-let rc_diff_bytes t = t.rc_diff_bytes
 let mode_switch_log t = List.rev t.mode_switch_log
 
 (* ------------------------------------------------------------------ *)

@@ -314,32 +314,51 @@ val competing_requests : t -> int
 
 val read_faults : t -> int
 val write_faults : t -> int
-val barriers_entered : t -> int
-val locks_acquired : t -> int
 val messages_sent : t -> int
 val bytes_sent : t -> int
 val mpt : t -> Mp_multiview.Mpt.t
 val views_used : t -> int
 val counters : t -> Mp_util.Stats.Counters.t
-(** Protocol-level counters: ["invalidations"], ["acks"], ["pushes"],
-    ["replies.data"], ["grant.upgrades"], and under sharded policies
-    ["homes.redirects"], ["homes.migrations"], ... *)
+(** The instance's one counter table, shared by the hosts' address spaces,
+    the fabric and the protocol, and declared in full at {!create}:
+    - memsim: [fault.read], [fault.write] (summed over hosts);
+    - net: [send.count], [send.bytes], [handled.h<i>], injected faults
+      [net.dropped], [net.duplicated], [net.reordered], and
+      [net.dead_dropped], [net.crashed_hosts];
+    - transport: [transport.retransmits], [transport.dups_suppressed];
+    - protocol: [grant.upgrades], [invalidations], [acks], [replies.data],
+      [barriers], [locks], [prefetches], [pushes], [group.fetches],
+      [group.stale_msgs], [manager.dup_requests],
+      [manager.stale_inval_replies], [manager.stale_acks],
+      [manager.stale_group_acks], [manager.stale_lock_releases];
+    - homes: [homes.migrations], [homes.redirects] (requests that reached a
+      stale home), [homes.forwarded_acks], [homes.stale_push_acks],
+      [homes.stale_lock_acquires], [homes.stale_redirects],
+      [homes.replayed_releases], [homes.regrants], [homes.resent_requests],
+      [homes.resent_pushes], [homes.resent_group_fetches];
+    - ft: [ft.heartbeats], [ft.heartbeat_misses], [ft.suspects],
+      [ft.suspect_recoveries], [ft.declared_dead], [ft.crashes], [ft.fenced],
+      [ft.stalls], [ft.activity] (the deadlock watchdog's progress signal),
+      [ft.msgs_from_dead_dropped], [ft.shadow_syncs], [ft.shadow_refreshes],
+      [ft.recovered_minipages], [ft.unserved_forwards], [ft.lease_revokes],
+      [ft.serves_to_dead_skipped], [ft.barrier_release_replays],
+      [ft.barrier_reconfigs];
+    - replicate: [replicate.promotions], [replicate.log_applies] (trails
+      {!log_records_sent} by the in-flight tail), [replicate.tail_repairs],
+      [replicate.rollbacks] (sole-copy minipages restored to their last
+      released version);
+    - rc: [rc.promotes] and [rc.demotes] (together, every completed mode
+      switch), [rc.twins], [rc.diffs], [rc.diff_bytes], [rc.resent_diffs],
+      [rc.stale_diffs], [rc.stale_diff_acks], [rc.stale_mode_acks]. *)
 
 val obs : t -> Mp_obs.Recorder.t
 (** The typed observability recorder (disabled by default;
     [Mp_obs.Recorder.set_enabled] it before {!run} to capture the protocol
     event stream): per-fault spans, phase latency metrics, Perfetto export. *)
 
-val max_queue_depth : t -> int
-(** High-water mark of requests queued behind in-flight operations, taken
-    over every home shard. *)
-
 val max_queue_depth_by_home : t -> int array
 (** Per-home high-water queue depth (index = host id).  Under [Central] only
     index 0 is ever non-zero. *)
-
-val home_redirects : t -> int
-(** Requests that reached a stale home and were redirected. *)
 
 (** {2 Fault injection and reliable transport}
 
@@ -351,13 +370,6 @@ val home_redirects : t -> int
     fabric. *)
 
 val faulty : t -> bool
-val retransmits : t -> int
-val dups_suppressed : t -> int
-
-val net_dropped : t -> int
-val net_duplicated : t -> int
-val net_reordered : t -> int
-(** Faults the fabric actually injected during the run. *)
 
 (** {2 Crash-fault tolerance}
 
@@ -393,13 +405,6 @@ val crashed_hosts : t -> int list
 val declared_dead : t -> int list
 (** Hosts declared dead (and recovery ran for). *)
 
-val recovered_minipages : t -> int
-(** Exclusively-dead-owned minipages successfully re-materialized from
-    shadow copies. *)
-
-val heartbeats_sent : t -> int
-val leases_revoked : t -> int
-
 val idempotence_size : t -> int
 (** Combined size of every shard's request-idempotence tables (bounded by
     periodic pruning of completions older than the retransmission
@@ -411,29 +416,12 @@ val replication_on : t -> bool
 (** Whether replication is live for this instance (failure detector
     configured {e and} more than one host). *)
 
-val backup_promotions : t -> int
-(** Dead homes whose shard was taken over by its backup. *)
-
 val promoted_homes : t -> int list
 (** The dead primaries whose shards were promoted. *)
 
 val log_records_sent : t -> int
 (** Directory-log records appended across all primaries (the steady-state
     replication overhead). *)
-
-val log_records_applied : t -> int
-(** Log records applied at backups (trails {!log_records_sent} by the
-    in-flight tail). *)
-
-val tail_repairs : t -> int
-(** Promotion-time repairs of log records lost in the dead primary's final
-    retransmission window (reachable only under message loss): completions
-    re-installed from the corpse's table plus location state rebuilt from
-    the survivors' page protections. *)
-
-val rolled_back_minipages : t -> int
-(** Sole-copy minipages whose dead owner wrote after the last sync, restored
-    to the last released version (the release-consistency rollback). *)
 
 (** {2 Adaptive consistency}
 
@@ -458,20 +446,6 @@ val mode_of_mp : t -> int -> Proto.mode
 
 val modes : t -> (Proto.mode * int) list
 (** Census of minipages by current mode, as [[(Sc, n); (Rc, m)]]. *)
-
-val mode_switches : t -> int
-(** Completed mode switches (promotions + demotions), including
-    recovery-forced demotions after a crash. *)
-
-val rc_twins : t -> int
-(** Twins created at RC write faults. *)
-
-val rc_diffs : t -> int
-(** Release-time diffs flushed to the masters (empty diffs are skipped). *)
-
-val rc_diff_bytes : t -> int
-(** Total encoded bytes of those diffs — the quantity to weigh against the
-    invalidation traffic SC would have sent. *)
 
 val mode_switch_log : t -> (float * int * Proto.mode) list
 (** Every completed switch as [(time µs, mp_id, new mode)], oldest first. *)

@@ -31,8 +31,7 @@ type 'a node = {
   mutable poll_gen : int;  (* arms outstanding timers; stale ones no-op *)
   mutable dead : bool;  (* crashed host: endpoint silent both ways *)
   mutable stalled_until : float;  (* polls deferred past this instant *)
-  handled_key : string;  (* precomputed counter keys (hot path) *)
-  send_key : string;
+  handled : Stats.Counters.counter;  (* "handled.h<id>" *)
   poll_label : string;  (* precomputed event label for schedule exploration *)
 }
 
@@ -42,7 +41,13 @@ type 'a t = {
   latency : bytes:int -> float;
   chan_last : float array;  (* per (src,dst) last arrival, for FIFO *)
   chan_label : string array;  (* per (src,dst) "net:hS>hD" event label *)
-  counters : Stats.Counters.t;
+  sent : Stats.Counters.counter;  (* counter handles, named in [create] *)
+  sent_bytes : Stats.Counters.counter;
+  dead_dropped : Stats.Counters.counter;
+  crashed : Stats.Counters.counter;
+  reordered : Stats.Counters.counter;
+  duplicated : Stats.Counters.counter;
+  dropped : Stats.Counters.counter;
   faults : faults;
   fault_rngs : Prng.t array option;  (* per (src,dst); None when fault-free *)
   mutable obs : (Mp_obs.Recorder.t * ('a -> string)) option;
@@ -50,7 +55,7 @@ type 'a t = {
 
 let default_latency ~bytes = 11.4 +. (0.0196 *. float_of_int bytes)
 
-let create engine ~hosts ?(latency = default_latency) ?(poll_idle_us = 2.0)
+let create engine ~hosts ~counters ?(latency = default_latency) ?(poll_idle_us = 2.0)
     ?(polling = Polling.nt_mode) ?(seed = 1) ?(faults = no_faults)
     ?(fault_seed = 9) () =
   if hosts <= 0 then invalid_arg "Fabric.create: hosts";
@@ -60,6 +65,7 @@ let create engine ~hosts ?(latency = default_latency) ?(poll_idle_us = 2.0)
     || faults.jitter_us < 0.0
   then invalid_arg "Fabric.create: faults";
   let root_rng = Prng.create ~seed in
+  let ctr = Stats.Counters.counter counters in
   let node id =
     {
       id;
@@ -72,8 +78,7 @@ let create engine ~hosts ?(latency = default_latency) ?(poll_idle_us = 2.0)
       poll_gen = 0;
       dead = false;
       stalled_until = neg_infinity;
-      handled_key = Printf.sprintf "handled.h%d" id;
-      send_key = Printf.sprintf "send.count.h%d" id;
+      handled = ctr (Printf.sprintf "handled.h%d" id);
       poll_label = Printf.sprintf "poll:h%d" id;
     }
   in
@@ -96,7 +101,13 @@ let create engine ~hosts ?(latency = default_latency) ?(poll_idle_us = 2.0)
       chan_label =
         Array.init (hosts * hosts) (fun c ->
             Printf.sprintf "net:h%d>h%d" (c / hosts) (c mod hosts));
-      counters = Stats.Counters.create ();
+      sent = ctr "send.count";
+      sent_bytes = ctr "send.bytes";
+      dead_dropped = ctr "net.dead_dropped";
+      crashed = ctr "net.crashed_hosts";
+      reordered = ctr "net.reordered";
+      duplicated = ctr "net.duplicated";
+      dropped = ctr "net.dropped";
       faults;
       fault_rngs;
       obs = None;
@@ -124,7 +135,7 @@ let create engine ~hosts ?(latency = default_latency) ?(poll_idle_us = 2.0)
                 (match n.handler with
                 | Some h -> h m
                 | None -> failwith "Fabric: message for host without handler");
-                Stats.Counters.incr t.counters n.handled_key;
+                Stats.Counters.incr n.handled;
                 drain ()
               | None -> ()
             in
@@ -176,7 +187,7 @@ let deliver t (dst_node : 'a node) m ~at =
   Engine.schedule t.engine ~at
     ~label:t.chan_label.((m.src * Array.length t.nodes) + m.dst)
     (fun () ->
-      if dst_node.dead then Stats.Counters.incr t.counters "net.dead_dropped"
+      if dst_node.dead then Stats.Counters.incr t.dead_dropped
       else begin
         Queue.add m dst_node.ready;
         schedule_poll t dst_node ~arrival:(Engine.now t.engine)
@@ -192,7 +203,7 @@ let crash t ~host =
     Queue.clear n.ready;
     n.poll_gen <- n.poll_gen + 1;
     n.pending_poll <- infinity;
-    Stats.Counters.incr t.counters "net.crashed_hosts"
+    Stats.Counters.incr t.crashed
   end
 
 let stall t ~host ~until =
@@ -217,11 +228,10 @@ let send t ~src ~dst ~bytes body =
   if bytes < 0 then invalid_arg "Fabric.send: negative size";
   let dst_node = node t dst in
   let src_node = node t src in
-  if src_node.dead then Stats.Counters.incr t.counters "net.dead_dropped"
+  if src_node.dead then Stats.Counters.incr t.dead_dropped
   else begin
-  Stats.Counters.incr t.counters "send.count";
-  Stats.Counters.add t.counters "send.bytes" bytes;
-  Stats.Counters.incr t.counters src_node.send_key;
+  Stats.Counters.incr t.sent;
+  Stats.Counters.add t.sent_bytes bytes;
   let now = Engine.now t.engine in
   (match t.obs with
   | Some (obs, describe) ->
@@ -266,7 +276,7 @@ let send t ~src ~dst ~bytes body =
       if reordered then begin
         (* escape the FIFO clamp: arrive at raw latency, overtaking queued
            traffic, and leave chan_last alone so later sends are unaffected *)
-        Stats.Counters.incr t.counters "net.reordered";
+        Stats.Counters.incr t.reordered;
         (match t.obs with
         | Some (obs, _) ->
           Mp_obs.Recorder.net_reorder obs ~time:now ~host:src ~dst ~label:(label ())
@@ -281,7 +291,7 @@ let send t ~src ~dst ~bytes body =
     in
     let copies =
       if f.duplicate > 0.0 && Prng.float rng 1.0 < f.duplicate then begin
-        Stats.Counters.incr t.counters "net.duplicated";
+        Stats.Counters.incr t.duplicated;
         (match t.obs with
         | Some (obs, _) ->
           Mp_obs.Recorder.net_dup obs ~time:now ~host:src ~dst ~label:(label ())
@@ -293,7 +303,7 @@ let send t ~src ~dst ~bytes body =
     for copy = 0 to copies - 1 do
       let dropped = f.drop > 0.0 && Prng.float rng 1.0 < f.drop in
       if dropped then begin
-        Stats.Counters.incr t.counters "net.dropped";
+        Stats.Counters.incr t.dropped;
         match t.obs with
         | Some (obs, _) ->
           Mp_obs.Recorder.net_drop obs ~time:now ~host:src ~dst ~bytes
@@ -316,5 +326,4 @@ let set_busy t ~host b =
     schedule_poll t n ~arrival:(Engine.now t.engine)
 
 let busy t ~host = (node t host).busy
-let counters t = t.counters
 let queue_depth t ~host = Queue.length (node t host).ready

@@ -45,6 +45,7 @@ type 'a t
 val create :
   Mp_sim.Engine.t ->
   hosts:int ->
+  counters:Mp_util.Stats.Counters.t ->
   ?latency:(bytes:int -> float) ->
   ?poll_idle_us:float ->
   ?polling:Polling.mode ->
@@ -59,7 +60,12 @@ val create :
     Fault injection draws from a dedicated RNG root split per (src, dst)
     channel, so the schedule is deterministic in [fault_seed] and independent
     of the polling streams — enabling faults never perturbs fault-free
-    timing machinery.  Raises [Invalid_argument] on out-of-range rates. *)
+    timing machinery.  Raises [Invalid_argument] on out-of-range rates.
+
+    Traffic counts into [counters]: ["send.count"], ["send.bytes"] and
+    ["handled.h<i>"] always; ["net.dropped"], ["net.duplicated"] and
+    ["net.reordered"] under fault injection; ["net.dead_dropped"] and
+    ["net.crashed_hosts"] once a host crashes. *)
 
 val default_latency : bytes:int -> float
 
@@ -84,11 +90,6 @@ val busy : 'a t -> host:int -> bool
 
 val faulty : 'a t -> bool
 (** Whether this fabric was created with any fault injection enabled. *)
-
-val counters : 'a t -> Mp_util.Stats.Counters.t
-(** ["send.count"], ["send.bytes"], ["send.count.h<i>"], ["handled.h<i>"];
-    with fault injection also ["net.dropped"], ["net.duplicated"],
-    ["net.reordered"]. *)
 
 val queue_depth : 'a t -> host:int -> int
 (** Messages arrived but not yet handled (for tests). *)

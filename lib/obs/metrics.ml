@@ -18,8 +18,8 @@ let create () =
     latencies = Hashtbl.create 32 }
 
 let counters t = t.counters
-let incr t name = Stats.Counters.incr t.counters name
-let add t name k = Stats.Counters.add t.counters name k
+let incr t name = Stats.Counters.incr (Stats.Counters.counter t.counters name)
+let add t name k = Stats.Counters.add (Stats.Counters.counter t.counters name) k
 
 let gauge_cell t name =
   match Hashtbl.find_opt t.gauges name with
@@ -33,14 +33,6 @@ let gauge_set t name v =
   let g = gauge_cell t name in
   g.value <- v;
   if v > g.max then g.max <- v
-
-let gauge t name =
-  match Hashtbl.find_opt t.gauges name with Some g -> g.value | None -> 0.0
-
-let gauge_max t name =
-  match Hashtbl.find_opt t.gauges name with
-  | Some g when g.max > neg_infinity -> g.max
-  | Some _ | None -> 0.0
 
 let latency_cell t ?(bucket_width = default_bucket_width) ?(buckets = default_buckets)
     name =
@@ -58,21 +50,11 @@ let observe t ?bucket_width ?buckets name x =
   Stats.Summary.add l.summary x;
   Stats.Histogram.add l.hist x
 
-let summary t name =
-  Option.map (fun l -> l.summary) (Hashtbl.find_opt t.latencies name)
-
 let percentile t name p =
   match Hashtbl.find_opt t.latencies name with
   | Some l when Stats.Summary.count l.summary > 0 ->
     Some (Stats.Histogram.percentile l.hist p)
   | Some _ | None -> None
-
-let observations t name =
-  match summary t name with Some s -> Stats.Summary.count s | None -> 0
-
-let merge_into ~dst t =
-  Stats.Counters.merge_into ~dst:dst.counters t.counters;
-  Hashtbl.iter (fun name g -> gauge_set dst name g.value) t.gauges
 
 let sorted_keys tbl =
   Hashtbl.fold (fun k _ acc -> k :: acc) tbl [] |> List.sort String.compare

@@ -57,28 +57,27 @@ module Summary = struct
 end
 
 module Counters = struct
-  type t = (string, int ref) Hashtbl.t
+  type counter = int ref
+  type t = (string, counter) Hashtbl.t
 
   let create () : t = Hashtbl.create 32
 
-  let cell t name =
+  let counter t name =
     match Hashtbl.find_opt t name with
-    | Some r -> r
+    | Some c -> c
     | None ->
-      let r = ref 0 in
-      Hashtbl.add t name r;
-      r
+      let c = ref 0 in
+      Hashtbl.add t name c;
+      c
 
-  let add t name k = cell t name := !(cell t name) + k
-  let incr t name = add t name 1
-  let get t name = match Hashtbl.find_opt t name with Some r -> !r | None -> 0
+  let add c k = c := !c + k
+  let incr c = add c 1
+  let value c = !c
+  let get t name = match Hashtbl.find_opt t name with Some c -> !c | None -> 0
 
   let to_list t =
-    Hashtbl.fold (fun name r acc -> (name, !r) :: acc) t []
+    Hashtbl.fold (fun name c acc -> (name, !c) :: acc) t []
     |> List.sort (fun (a, _) (b, _) -> String.compare a b)
-
-  let reset t = Hashtbl.reset t
-  let merge_into ~dst t = Hashtbl.iter (fun name r -> add dst name !r) t
 end
 
 module Histogram = struct

@@ -24,21 +24,28 @@ module Summary : sig
 end
 
 module Counters : sig
-  (** A mutable bag of named integer counters. *)
+  (** A mutable table of named integer counters.  Writers declare a name
+      once with {!counter} and bump the returned handle, so a hot path pays
+      no hashing; readers look names up with {!get} or take a snapshot with
+      {!to_list}. *)
 
   type t
+  type counter
 
   val create : unit -> t
-  val incr : t -> string -> unit
-  val add : t -> string -> int -> unit
+
+  val counter : t -> string -> counter
+  (** The handle for [name], declaring it (at 0) on first use. *)
+
+  val incr : counter -> unit
+  val add : counter -> int -> unit
+  val value : counter -> int
+
   val get : t -> string -> int
-  (** 0 for a name never incremented. *)
+  (** 0 for a name never declared. *)
 
   val to_list : t -> (string * int) list
-  (** Sorted by name. *)
-
-  val reset : t -> unit
-  val merge_into : dst:t -> t -> unit
+  (** Every declared name, sorted by name. *)
 end
 
 module Histogram : sig

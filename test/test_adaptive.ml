@@ -83,15 +83,15 @@ let false_sharing_run ?(hosts = 2) ?(phases = 6) consistency =
 let test_rc_multi_writer () =
   let _, dsm, x = false_sharing_run Consistency.rc in
   Alcotest.(check bool) "minipage runs rc" true (Dsm.mode_of dsm ~addr:x = Proto.Rc);
-  Alcotest.(check bool) "twins were made" true (Dsm.rc_twins dsm > 0);
-  Alcotest.(check bool) "diffs were flushed" true (Dsm.rc_diffs dsm > 0);
-  Alcotest.(check bool) "diff bytes counted" true (Dsm.rc_diff_bytes dsm > 0);
+  Alcotest.(check bool) "twins were made" true (counter dsm "rc.twins" > 0);
+  Alcotest.(check bool) "diffs were flushed" true (counter dsm "rc.diffs" > 0);
+  Alcotest.(check bool) "diff bytes counted" true (counter dsm "rc.diff_bytes" > 0);
   let sc_n = List.assoc Proto.Sc (Dsm.modes dsm)
   and rc_n = List.assoc Proto.Rc (Dsm.modes dsm) in
   Alcotest.(check int) "census: nothing left sc" 0 sc_n;
   Alcotest.(check bool) "census: everything rc" true (rc_n > 0);
   (* pure-mode runs never switch, so the log stays empty *)
-  Alcotest.(check int) "no switches in pure rc" 0 (Dsm.mode_switches dsm);
+  Alcotest.(check int) "no switches in pure rc" 0 (counter dsm "rc.promotes" + counter dsm "rc.demotes");
   Alcotest.(check bool) "log empty" true (Dsm.mode_switch_log dsm = [])
 
 let test_rc_beats_sc_on_false_sharing () =
@@ -123,7 +123,7 @@ let test_switch_only_at_sync_points () =
         done)
   done;
   Dsm.run dsm;
-  Alcotest.(check int) "no switches without sync points" 0 (Dsm.mode_switches dsm);
+  Alcotest.(check int) "no switches without sync points" 0 (counter dsm "rc.promotes" + counter dsm "rc.demotes");
   Alcotest.(check bool) "still sc" true (Dsm.mode_of dsm ~addr:x = Proto.Sc)
 
 let test_adaptive_promotes_then_demotes () =
@@ -189,8 +189,8 @@ let test_rc_runs_are_deterministic () =
     let e, dsm, _ = false_sharing_run ~phases:8 Consistency.rc in
     ( Engine.now e,
       Dsm.messages_sent dsm,
-      Dsm.rc_diffs dsm,
-      Dsm.rc_diff_bytes dsm,
+      counter dsm "rc.diffs",
+      counter dsm "rc.diff_bytes",
       Dsm.read_faults dsm,
       Dsm.write_faults dsm )
   in

@@ -3,6 +3,8 @@ open Mp_millipage
 open Mp_apps
 module M = Mp_dsm.Millipage_impl
 
+let counter dsm name = Mp_util.Stats.Counters.get (Dsm.counters dsm) name
+
 let fast_config ?(views = 32) ?(object_size = 16 * 1024 * 1024) ?chunking
     ?(polling = Mp_net.Polling.Fast) () =
   {
@@ -98,7 +100,7 @@ let test_is_barrier_count () =
   let _h = Is_m.setup dsm p in
   Dsm.run dsm;
   (* Table 2: 90 barriers for 10 iterations on 8 hosts (plus the final one) *)
-  let per_thread = Dsm.barriers_entered dsm / hosts in
+  let per_thread = counter dsm "barriers" / hosts in
   Alcotest.(check int) "90 barriers + final gather" 91 per_thread
 
 (* ---------------- WATER ---------------- *)

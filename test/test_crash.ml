@@ -56,7 +56,7 @@ let test_ft_fault_free () =
         Dsm.spawn dsm ~host:2 (fun ctx -> Dsm.compute ctx 3000.0))
   in
   Alcotest.(check (float 0.0)) "value intact" 7.25 !seen;
-  Alcotest.(check bool) "heartbeats sent" true (Dsm.heartbeats_sent dsm > 0);
+  Alcotest.(check bool) "heartbeats sent" true (counter dsm "ft.heartbeats" > 0);
   Alcotest.(check int) "no suspects" 0 (counter dsm "ft.suspects");
   Alcotest.(check (list int)) "nobody declared" [] (Dsm.declared_dead dsm);
   (* host 0, the only central home, cannot die, so it streams no log *)
@@ -134,7 +134,7 @@ let test_lease_revoked_to_next_waiter () =
             Dsm.unlock ctx 0))
   in
   Alcotest.(check bool) "survivor acquired the lock" true !survivor_got_lock;
-  Alcotest.(check int) "one lease revoked" 1 (Dsm.leases_revoked dsm);
+  Alcotest.(check int) "one lease revoked" 1 (counter dsm "ft.lease_revokes");
   Alcotest.(check (list int)) "holder declared dead" [ 2 ] (Dsm.declared_dead dsm)
 
 (* ---------------- shadow-copy recovery --------------------------------- *)
@@ -163,8 +163,8 @@ let test_shadow_recovery_after_barrier () =
   in
   Alcotest.(check (float 0.0)) "survivor reads the last synced value" 42.0 !seen;
   Alcotest.(check bool) "minipage recovered from shadow" true
-    (Dsm.recovered_minipages dsm >= 1);
-  Alcotest.(check int) "nothing rolled back" 0 (Dsm.rolled_back_minipages dsm);
+    (counter dsm "ft.recovered_minipages" >= 1);
+  Alcotest.(check int) "nothing rolled back" 0 (counter dsm "replicate.rollbacks");
   Alcotest.(check bool) "shadow synced at barrier entry" true
     (counter dsm "ft.shadow_syncs" >= 1);
   Alcotest.(check bool) "parked barrier reconfigured" true
@@ -317,9 +317,9 @@ let test_acceptance_stencil_survives_crash () =
   Alcotest.(check (list int)) "victim declared dead" [ victim ]
     (Dsm.declared_dead dsm);
   (* parked at the barrier, the victim's last write was synced *)
-  Alcotest.(check int) "nothing rolled back" 0 (Dsm.rolled_back_minipages dsm);
+  Alcotest.(check int) "nothing rolled back" 0 (counter dsm "replicate.rollbacks");
   Alcotest.(check bool) "victim cell recovered" true
-    (Dsm.recovered_minipages dsm >= 1);
+    (counter dsm "ft.recovered_minipages" >= 1);
   (* survivors completed every phase with their own data intact *)
   List.iter
     (fun h ->
@@ -493,7 +493,7 @@ let test_loss_does_not_fence_live_hosts () =
               done)
         done)
   in
-  Alcotest.(check bool) "packets were dropped" true (Dsm.net_dropped dsm > 0);
+  Alcotest.(check bool) "packets were dropped" true (counter dsm "net.dropped" > 0);
   Alcotest.(check (list int)) "nobody declared dead" [] (Dsm.declared_dead dsm)
 
 let test_unserved_forward_survives_writer_crash () =

@@ -98,7 +98,9 @@ let test_gms_bad_config () =
 
 let test_fabric_bad_host () =
   let e = Engine.create () in
-  let fab : unit Mp_net.Fabric.t = Mp_net.Fabric.create e ~hosts:2 () in
+  let fab : unit Mp_net.Fabric.t =
+    Mp_net.Fabric.create e ~hosts:2 ~counters:(Mp_util.Stats.Counters.create ()) ()
+  in
   Alcotest.(check bool) "send to bad host" true
     (raises_invalid (fun () -> Mp_net.Fabric.send fab ~src:0 ~dst:5 ~bytes:10 ()))
 

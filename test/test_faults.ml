@@ -7,20 +7,23 @@ open Mp_sim
 open Mp_net
 open Mp_millipage
 
+let counter dsm name = Mp_util.Stats.Counters.get (Dsm.counters dsm) name
+
 (* ---------------- fabric fault injection ---------------- *)
 
 let with_faulty_fabric ?(hosts = 2) ?(polling = Polling.Fast) ?faults ?fault_seed f =
   let e = Engine.create () in
-  let fab = Fabric.create e ~hosts ~polling ?faults ?fault_seed () in
+  let counters = Mp_util.Stats.Counters.create () in
+  let fab = Fabric.create e ~hosts ~counters ~polling ?faults ?fault_seed () in
   f e fab;
   Engine.run e;
-  fab
+  (fab, counters)
 
 (* Spaced sends of indexed bodies; returns delivered indices in handling
    order. *)
 let delivered_indices ?faults ?fault_seed n =
   let got = ref [] in
-  let _fab =
+  let _ =
     with_faulty_fabric ?faults ?fault_seed (fun e fab ->
         Fabric.set_handler fab ~host:1 (fun m -> got := m.Fabric.body :: !got);
         Engine.spawn e (fun () ->
@@ -33,7 +36,7 @@ let delivered_indices ?faults ?fault_seed n =
 
 let test_no_faults_is_off () =
   Alcotest.(check bool) "no_faults inactive" false (Fabric.faults_active Fabric.no_faults);
-  let fab = with_faulty_fabric (fun _ _ -> ()) in
+  let fab, _ = with_faulty_fabric (fun _ _ -> ()) in
   Alcotest.(check bool) "fabric not faulty" false (Fabric.faulty fab)
 
 let test_drop_rate_and_determinism () =
@@ -50,7 +53,7 @@ let test_drop_rate_and_determinism () =
 let test_duplicates_counted () =
   let faults = { Fabric.no_faults with duplicate = 0.5 } in
   let got = delivered_indices ~faults ~fault_seed:3 200 in
-  let fab =
+  let _, counters =
     with_faulty_fabric ~faults ~fault_seed:3 (fun e fab ->
         Fabric.set_handler fab ~host:1 (fun _ -> ());
         Engine.spawn e (fun () ->
@@ -59,7 +62,7 @@ let test_duplicates_counted () =
               Engine.delay 50.0
             done))
   in
-  let dups = Mp_util.Stats.Counters.get (Fabric.counters fab) "net.duplicated" in
+  let dups = Mp_util.Stats.Counters.get counters "net.duplicated" in
   Alcotest.(check bool) "some duplicated" true (dups > 0);
   Alcotest.(check int) "every copy delivered" (200 + dups) (List.length got)
 
@@ -68,7 +71,7 @@ let test_reorder_overtakes () =
      reordered copy escapes the clamp and lands first on raw latency *)
   let faults = { Fabric.no_faults with reorder = 1.0 } in
   let got = ref [] in
-  let fab =
+  let _, counters =
     with_faulty_fabric ~faults (fun e fab ->
         Fabric.set_handler fab ~host:1 (fun m -> got := m.Fabric.body :: !got);
         Engine.spawn e (fun () ->
@@ -77,12 +80,12 @@ let test_reorder_overtakes () =
   in
   Alcotest.(check (list int)) "small overtook big" [ 2; 1 ] (List.rev !got);
   Alcotest.(check int) "counted" 1
-    (Mp_util.Stats.Counters.get (Fabric.counters fab) "net.reordered")
+    (Mp_util.Stats.Counters.get counters "net.reordered")
 
 let test_jitter_delays_but_keeps_all () =
   let faults = { Fabric.no_faults with jitter_us = 500.0 } in
   let delays = ref [] in
-  let _fab =
+  let _ =
     with_faulty_fabric ~faults ~fault_seed:4 (fun e fab ->
         Fabric.set_handler fab ~host:1 (fun m ->
             delays := (Engine.now e -. float_of_int m.Fabric.body) :: !delays);
@@ -107,7 +110,8 @@ let test_bad_rates_rejected () =
     (Invalid_argument "Fabric.create: faults")
     (fun () ->
       ignore
-        (Fabric.create e ~hosts:2 ~faults:{ Fabric.no_faults with drop = 1.0 } ()))
+        (Fabric.create e ~hosts:2 ~counters:(Mp_util.Stats.Counters.create ())
+           ~faults:{ Fabric.no_faults with drop = 1.0 } ()))
 
 (* ---------------- stale-poll regression (satellite 1) ---------------- *)
 
@@ -118,7 +122,10 @@ let det_nt =
 
 let test_stale_poll_timer_is_noop () =
   let e = Engine.create () in
-  let fab = Fabric.create e ~hosts:2 ~polling:det_nt () in
+  let fab =
+    Fabric.create e ~hosts:2 ~counters:(Mp_util.Stats.Counters.create ())
+      ~polling:det_nt ()
+  in
   let obs = Mp_obs.Recorder.create () in
   Mp_obs.Recorder.set_enabled obs true;
   Fabric.attach_obs fab ~obs ~describe:(fun _ -> "msg");
@@ -205,15 +212,15 @@ let test_sor_survives_loss () =
   let dsm, ok, violations = run_sor ~hosts:2 ~faults ~net_seed:5 ~polling:Polling.Fast in
   Alcotest.(check bool) "verified" true ok;
   Alcotest.(check (list string)) "invariants clean" [] violations;
-  Alcotest.(check bool) "losses actually happened" true (Dsm.net_dropped dsm > 0);
-  Alcotest.(check bool) "recovered by retransmission" true (Dsm.retransmits dsm > 0)
+  Alcotest.(check bool) "losses actually happened" true (counter dsm "net.dropped" > 0);
+  Alcotest.(check bool) "recovered by retransmission" true (counter dsm "transport.retransmits" > 0)
 
 let test_sor_survives_duplication () =
   let faults = { Fabric.no_faults with duplicate = 0.2 } in
   let dsm, ok, violations = run_sor ~hosts:2 ~faults ~net_seed:5 ~polling:Polling.Fast in
   Alcotest.(check bool) "verified" true ok;
   Alcotest.(check (list string)) "invariants clean" [] violations;
-  Alcotest.(check bool) "duplicates suppressed" true (Dsm.dups_suppressed dsm > 0)
+  Alcotest.(check bool) "duplicates suppressed" true (counter dsm "transport.dups_suppressed" > 0)
 
 (* ---------------- qcheck properties ---------------- *)
 
@@ -225,7 +232,10 @@ let qcheck_fault_free_fifo_lossless =
       list_of_size Gen.(1 -- 40) (pair (int_range 32 4096) (int_range 0 100)))
     (fun plan ->
       let e = Engine.create () in
-      let fab = Fabric.create e ~hosts:2 ~polling:Polling.Fast () in
+      let fab =
+        Fabric.create e ~hosts:2 ~counters:(Mp_util.Stats.Counters.create ())
+          ~polling:Polling.Fast ()
+      in
       let got = ref [] in
       Fabric.set_handler fab ~host:1 (fun m -> got := m.Fabric.body :: !got);
       Engine.spawn e (fun () ->

@@ -26,4 +26,5 @@ let () =
       ("profile", Test_profile.suite);
       ("replicate", Test_replicate.suite);
       ("adaptive", Test_adaptive.suite);
+      ("conservation", Test_conservation.suite);
     ]

@@ -43,9 +43,9 @@ let test_memobject_rounding () =
   Alcotest.(check int) "size" 8192 (Memobject.size o);
   Alcotest.(check int) "page of 4096" 1 (Memobject.page_of_offset o 4096)
 
-let mk_vm ?(size = 4 * 4096) () =
+let mk_vm ?(size = 4 * 4096) ?(counters = Mp_util.Stats.Counters.create ()) () =
   let o = Memobject.create ~size () in
-  Vm.create o
+  Vm.create ~counters o
 
 let test_views_disjoint_bases () =
   let vm = mk_vm () in
@@ -104,7 +104,8 @@ let test_independent_protection () =
      with Vm.Access_violation f -> f.view = v0 && f.vpage = 0)
 
 let test_fault_handler_fixes_access () =
-  let vm = mk_vm () in
+  let counters = Mp_util.Stats.Counters.create () in
+  let vm = mk_vm ~counters () in
   let v0 = Vm.map_view vm Prot.No_access in
   let faults = ref [] in
   Vm.set_fault_handler vm (fun f ->
@@ -119,8 +120,17 @@ let test_fault_handler_fixes_access () =
   (match !faults with
   | (_, _, Prot.Write) :: (_, _, Prot.Read) :: [] -> ()
   | _ -> Alcotest.fail "unexpected fault sequence");
-  Alcotest.(check int) "counter read" 1 Mp_util.Stats.Counters.(get (Vm.counters vm) "fault.read");
-  Alcotest.(check int) "counter write" 1 Mp_util.Stats.Counters.(get (Vm.counters vm) "fault.write")
+  let get = Mp_util.Stats.Counters.get counters in
+  Alcotest.(check int) "counter read" 1 (get "fault.read");
+  Alcotest.(check int) "counter write" 1 (get "fault.write");
+  (* a second address space over the same table adds into the same counts *)
+  let vm2 = mk_vm ~counters () in
+  let v = Vm.map_view vm2 Prot.No_access in
+  Vm.set_fault_handler vm2 (fun f ->
+      Vm.protect vm2 ~view:f.view ~vpage:f.vpage Prot.Read_only);
+  ignore (Vm.read_u8 vm2 (Vm.address vm2 ~view:v 0));
+  Alcotest.(check int) "read faults summed" 2 (get "fault.read");
+  Alcotest.(check int) "write faults unchanged" 1 (get "fault.write")
 
 let test_fault_storm () =
   let vm = mk_vm () in

@@ -387,6 +387,26 @@ let test_many_minipages_stress () =
   Alcotest.(check (float 0.001)) "sum correct" expected !sum;
   Alcotest.(check bool) "views bounded" true (Dsm.views_used dsm <= 32)
 
+(* Memsim, fabric and protocol count into one table per instance. *)
+let test_one_counter_table () =
+  let module Sor_m = Mp_apps.Sor.Make (Mp_dsm.Millipage_impl) in
+  let dsm =
+    scenario ~hosts:4 (fun dsm ->
+        let p = { Mp_apps.Sor.default_params with rows = 64; iterations = 4 } in
+        ignore (Sor_m.setup dsm p))
+  in
+  let snapshot = Mp_util.Stats.Counters.to_list (Dsm.counters dsm) in
+  let entry name =
+    match List.assoc_opt name snapshot with
+    | Some v -> v
+    | None -> Alcotest.failf "%s missing from Dsm.counters" name
+  in
+  List.iter
+    (fun name -> Alcotest.(check bool) (name ^ " counted") true (entry name > 0))
+    [ "fault.read"; "send.count"; "invalidations" ];
+  Alcotest.(check int) "read_faults reads the table" (entry "fault.read")
+    (Dsm.read_faults dsm)
+
 let suite =
   [
     Alcotest.test_case "read sharing" `Quick test_read_sharing;
@@ -411,4 +431,5 @@ let suite =
     Alcotest.test_case "breakdown accounting" `Quick test_breakdown_accounted;
     Alcotest.test_case "wrong view rejected" `Quick test_wrong_view_access_rejected;
     Alcotest.test_case "many minipages stress" `Quick test_many_minipages_stress;
+    Alcotest.test_case "one counter table" `Quick test_one_counter_table;
   ]

@@ -9,9 +9,10 @@ let test_latency_calibration () =
   Alcotest.(check bool) "1KB" true (Float.abs (l 1024 -. 34.0) < 3.0);
   Alcotest.(check bool) "4KB" true (Float.abs (l 4096 -. 90.0) < 5.0)
 
-let with_fabric ?polling ?(hosts = 2) f =
+let with_fabric ?polling ?(hosts = 2) ?(counters = Mp_util.Stats.Counters.create ())
+    f =
   let e = Engine.create () in
-  let fab = Fabric.create e ~hosts ?polling () in
+  let fab = Fabric.create e ~hosts ~counters ?polling () in
   f e fab;
   Engine.run e
 
@@ -100,13 +101,13 @@ let test_set_idle_rearms_poller () =
           Alcotest.(check bool) "picked up shortly after idle" true (!at < 80.0)))
 
 let test_counters () =
-  with_fabric ~polling:Polling.Fast (fun e fab ->
+  let c = Mp_util.Stats.Counters.create () in
+  with_fabric ~polling:Polling.Fast ~counters:c (fun e fab ->
       Fabric.set_handler fab ~host:1 (fun _ -> ());
       Engine.spawn e (fun () ->
           Fabric.send fab ~src:0 ~dst:1 ~bytes:100 ();
           Fabric.send fab ~src:0 ~dst:1 ~bytes:200 ());
       Engine.schedule e ~at:10_000.0 (fun () ->
-          let c = Fabric.counters fab in
           Alcotest.(check int) "count" 2 Mp_util.Stats.Counters.(get c "send.count");
           Alcotest.(check int) "bytes" 300 Mp_util.Stats.Counters.(get c "send.bytes");
           Alcotest.(check int) "handled" 2 Mp_util.Stats.Counters.(get c "handled.h1")))

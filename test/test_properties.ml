@@ -10,7 +10,10 @@ let qcheck_fabric_fifo =
     QCheck.(pair small_int (list_of_size (Gen.int_range 1 30) (int_range 0 8192)))
     (fun (seed, sizes) ->
       let e = Engine.create () in
-      let fab = Mp_net.Fabric.create e ~hosts:2 ~polling:Mp_net.Polling.Fast ~seed:(seed + 1) () in
+      let fab =
+        Mp_net.Fabric.create e ~hosts:2 ~counters:(Mp_util.Stats.Counters.create ())
+          ~polling:Mp_net.Polling.Fast ~seed:(seed + 1) ()
+      in
       let got = ref [] in
       Mp_net.Fabric.set_handler fab ~host:1 (fun m -> got := m.Mp_net.Fabric.body :: !got);
       Engine.spawn e (fun () ->

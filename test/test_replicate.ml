@@ -84,7 +84,7 @@ let test_promotion_after_home_crash () =
   in
   Alcotest.(check bool) "replication live" true (Dsm.replication_on dsm);
   Alcotest.(check (list int)) "home host declared dead" [ 2 ] (Dsm.declared_dead dsm);
-  Alcotest.(check int) "exactly one promotion" 1 (Dsm.backup_promotions dsm);
+  Alcotest.(check int) "exactly one promotion" 1 (counter dsm "replicate.promotions");
   Alcotest.(check (list int)) "home 2 promoted" [ 2 ] (Dsm.promoted_homes dsm);
   (* the shard kept its identity: dead home's minipages answer at the
      backup, every other home is untouched *)
@@ -98,7 +98,7 @@ let test_promotion_after_home_crash () =
     !final;
   (* the log actually flowed, and the promotion event is in the trace *)
   Alcotest.(check bool) "log records streamed" true (Dsm.log_records_sent dsm > 0);
-  Alcotest.(check bool) "log records applied" true (Dsm.log_records_applied dsm > 0);
+  Alcotest.(check bool) "log records applied" true (counter dsm "replicate.log_applies" > 0);
   let promotes =
     List.filter_map
       (fun ev ->
@@ -130,7 +130,7 @@ let test_promotion_under_loss () =
       ~config:(config ~homes:rr ~net:lossy_net ~crashes:[ (2, 3000.0) ] ())
       (fun dsm -> final := stencil ~victims:[ 2 ] ~phases:6 dsm)
   in
-  Alcotest.(check int) "one promotion" 1 (Dsm.backup_promotions dsm);
+  Alcotest.(check int) "one promotion" 1 (counter dsm "replicate.promotions");
   Alcotest.(check (array int)) "homes moved to the backup"
     [| 0; 1; 3; 3; 0; 1; 3; 3 |] (Dsm.homes dsm);
   Array.iteri
@@ -159,7 +159,7 @@ let test_unsynced_write_rolls_back () =
             Dsm.compute ctx 6000.0;
             seen := Dsm.read_f64 ctx x))
   in
-  Alcotest.(check bool) "write rolled back" true (Dsm.rolled_back_minipages dsm >= 1);
+  Alcotest.(check bool) "write rolled back" true (counter dsm "replicate.rollbacks" >= 1);
   (* the un-released write is discarded: the survivor reads the last
      release-consistent value, not the dead host's in-progress 42.0 *)
   Alcotest.(check (float 0.0)) "survivor reads pre-crash value" 1.0 !seen
@@ -266,7 +266,7 @@ let test_fault_free_results_unchanged () =
   Alcotest.(check bool) "replication off without ft" false (Dsm.replication_on off);
   Alcotest.(check int) "no log traffic without ft" 0 (Dsm.log_records_sent off);
   Alcotest.(check bool) "log traffic with ft" true (Dsm.log_records_sent on > 0);
-  Alcotest.(check int) "no promotions without a crash" 0 (Dsm.backup_promotions on);
+  Alcotest.(check int) "no promotions without a crash" 0 (counter on "replicate.promotions");
   Alcotest.(check (list (float 0.0))) "identical results" off_finals on_finals
 
 (* ---------------- hint repair precedes resend -------------------------- *)
@@ -422,7 +422,7 @@ let test_duplicate_suppressed_across_promotion () =
            ~crashes:[ (2, 3500.0) ] ())
       (fun dsm -> final := stencil ~victims:[ 2 ] ~phases:6 dsm)
   in
-  Alcotest.(check int) "promotion happened" 1 (Dsm.backup_promotions dsm);
+  Alcotest.(check int) "promotion happened" 1 (counter dsm "replicate.promotions");
   Array.iteri
     (fun h v ->
       Alcotest.(check (float 0.0))

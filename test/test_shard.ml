@@ -95,7 +95,7 @@ let test_first_toucher_migrates () =
   Alcotest.(check (float 0.0)) "late reader reads" 4.5 !seen1;
   Alcotest.(check int) "migrated to its first toucher" 2 (Dsm.home_of dsm ~addr:x);
   Alcotest.(check int) "one migration" 1 (counter dsm "homes.migrations");
-  Alcotest.(check bool) "stale hint redirected" true (Dsm.home_redirects dsm >= 1)
+  Alcotest.(check bool) "stale hint redirected" true (counter dsm "homes.redirects" >= 1)
 
 let test_first_toucher_stays_home_for_manager () =
   (* a protocol-visible touch by host 0 (its push) fixes the minipage at

@@ -42,27 +42,21 @@ let test_summary_merge_equals_union () =
 
 let test_counters () =
   let c = Stats.Counters.create () in
-  Stats.Counters.incr c "faults";
-  Stats.Counters.add c "faults" 2;
-  Stats.Counters.add c "msgs" 10;
-  Alcotest.(check int) "faults" 3 (Stats.Counters.get c "faults");
+  let faults = Stats.Counters.counter c "faults" in
+  Stats.Counters.incr faults;
+  Stats.Counters.add faults 2;
+  (* declaring a name again finds the same counter *)
+  Stats.Counters.add (Stats.Counters.counter c "msgs") 10;
+  Stats.Counters.incr (Stats.Counters.counter c "faults");
+  ignore (Stats.Counters.counter c "idle");
+  Alcotest.(check int) "faults" 4 (Stats.Counters.get c "faults");
+  Alcotest.(check int) "handle value" 4 (Stats.Counters.value faults);
   Alcotest.(check int) "msgs" 10 (Stats.Counters.get c "msgs");
   Alcotest.(check int) "missing" 0 (Stats.Counters.get c "nope");
   Alcotest.(check (list (pair string int)))
-    "to_list sorted"
-    [ ("faults", 3); ("msgs", 10) ]
+    "to_list sorted, declared names at 0"
+    [ ("faults", 4); ("idle", 0); ("msgs", 10) ]
     (Stats.Counters.to_list c)
-
-let test_counters_merge_reset () =
-  let a = Stats.Counters.create () and b = Stats.Counters.create () in
-  Stats.Counters.add a "x" 1;
-  Stats.Counters.add b "x" 2;
-  Stats.Counters.add b "y" 5;
-  Stats.Counters.merge_into ~dst:a b;
-  Alcotest.(check int) "x merged" 3 (Stats.Counters.get a "x");
-  Alcotest.(check int) "y merged" 5 (Stats.Counters.get a "y");
-  Stats.Counters.reset a;
-  Alcotest.(check int) "reset" 0 (Stats.Counters.get a "x")
 
 let test_histogram () =
   let h = Stats.Histogram.create ~bucket_width:10.0 ~buckets:10 in
@@ -139,7 +133,6 @@ let suite =
     Alcotest.test_case "summary empty" `Quick test_summary_empty;
     Alcotest.test_case "summary merge" `Quick test_summary_merge_equals_union;
     Alcotest.test_case "counters" `Quick test_counters;
-    Alcotest.test_case "counters merge/reset" `Quick test_counters_merge_reset;
     Alcotest.test_case "histogram buckets" `Quick test_histogram;
     Alcotest.test_case "histogram pathological inputs" `Quick
       test_histogram_pathological_inputs;
