@@ -6,7 +6,9 @@
     - polling: NT-timer polling vs. the idealized fast polling the authors
       expect once the FM polling problem is solved (§3.5/§4.3);
     - the false-sharing microbenchmark from §2.1: independent variables on
-      one page. *)
+      one page;
+    - composed views and reduced consistency on minipages (§5): WATER under
+      SC and under Millipage's own RC mode across the chunking sweep. *)
 
 open Mp_sim
 open Mp_millipage
@@ -174,8 +176,6 @@ let composed_views () =
     "the §5 proposal: a coarse composed view for the read phase plus fine-grain writes";
   Harness.note "beats the chunking compromise — batched group fetches cut the read-phase faults."
 
-module Water_mrc = Water.Make (Mp_baselines.Mrc)
-
 let rc_on_minipages () =
   Harness.section
     "Ablation: reduced consistency on minipages (§5) — WATER chunking sweep, 8 hosts";
@@ -199,10 +199,17 @@ let rc_on_minipages () =
     List.map
       (fun (label, chunking) ->
         let e = Engine.create () in
-        let t = Mp_baselines.Mrc.create e ~hosts:8 ~chunking () in
-        let h = Water_mrc.setup t p in
-        Mp_baselines.Mrc.run t;
-        (label, Engine.now e, Water_mrc.verify h))
+        let config =
+          {
+            (Dsm.Config.with_chunking Dsm.Config.default chunking) with
+            consistency = Dsm.Config.Consistency.rc;
+            homes = Dsm.Config.Homes.round_robin;
+          }
+        in
+        let t = Dsm.create e ~hosts:8 ~config () in
+        let h = Water_m.setup t p in
+        Dsm.run t;
+        (label, Engine.now e, Water_m.verify h))
       levels
   in
   let best xs = List.fold_left (fun acc (_, time, _) -> Float.min acc time) infinity xs in

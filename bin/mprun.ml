@@ -6,12 +6,28 @@
     mprun --app water --hosts 4 --chunking 5
     mprun --app is --system ivy --hosts 8 --polling fast
     mprun --app tsp --system lrc --hosts 4
+    mprun --app water --consistency rc --homes rr --chunking 6
     mprun --app sor --dsm millipage --hosts 4 --perfetto /tmp/t.json --metrics
     v} *)
 
 open Cmdliner
 open Mp_sim
 open Mp_apps
+module H = Mp_millipage.Dsm.Config.Homes
+module C = Mp_millipage.Dsm.Config.Consistency
+
+(* Closed choices: [Arg.enum] turns any other value into a usage error, and
+   the names are recorded as run metadata. *)
+let apps = [ ("sor", `Sor); ("is", `Is); ("water", `Water); ("lu", `Lu); ("tsp", `Tsp) ]
+let systems = [ ("millipage", `Millipage); ("ivy", `Ivy); ("lrc", `Lrc) ]
+let pollings = [ ("nt", Mp_net.Polling.nt_mode); ("fast", Mp_net.Polling.Fast) ]
+
+let homes_policies =
+  List.map (fun p -> (H.policy_name p, p)) H.[ Central; Round_robin; Block; First_toucher ]
+  @ H.[ ("round-robin", Round_robin); ("first-toucher", First_toucher) ]
+
+let consistencies = List.map (fun m -> (C.mode_name m, m)) [ `Sc; `Rc; `Adaptive ]
+let name_of choices v = fst (List.find (fun (_, x) -> x = v) choices)
 
 (** Observability options shared by every system branch. *)
 module Obs_opts = struct
@@ -33,37 +49,36 @@ module Runner (D : Mp_dsm.Dsm_intf.S) = struct
   let run (t : D.t) app paper =
     let hosts = D.hosts t in
     match app with
-    | "sor" ->
+    | `Sor ->
       let module A = Sor.Make (D) in
       let p = if paper then Sor.paper_params else Sor.default_params in
       let h = A.setup t p in
       D.run t;
       A.verify h
-    | "is" ->
+    | `Is ->
       let module A = Is.Make (D) in
       let p = if paper then Is.paper_params else Is.default_params in
       let h = A.setup t p in
       D.run t;
       A.verify ~hosts h
-    | "water" ->
+    | `Water ->
       let module A = Water.Make (D) in
       let p = if paper then Water.paper_params else Water.default_params in
       let h = A.setup t p in
       D.run t;
       A.verify h
-    | "lu" ->
+    | `Lu ->
       let module A = Lu.Make (D) in
       let p = if paper then Lu.paper_params else Lu.default_params in
       let h = A.setup t p in
       D.run t;
       A.verify h
-    | "tsp" ->
+    | `Tsp ->
       let module A = Tsp.Make (D) in
       let p = if paper then Tsp.paper_params else Tsp.default_params in
       let h = A.setup t p in
       D.run t;
       A.verify h
-    | other -> invalid_arg (Printf.sprintf "unknown app %S (sor|is|water|lu|tsp)" other)
 
   let report (t : D.t) engine verified ~degraded =
     Printf.printf "system:       %s\n" D.name;
@@ -175,43 +190,74 @@ end
 
 (* ---------------- crash-fault flags (millipage only) ------------------- *)
 
-let parse_crash_specs specs ~hosts ~seed ~horizon =
+type crash_spec = At of int * float | Rand of float
+
+let crash_conv =
+  let parse spec =
+    let bad hint = Error (`Msg (Printf.sprintf "bad --crash %S (%s)" spec hint)) in
+    match String.split_on_char '@' spec with
+    | [ h; t ] -> (
+      match (int_of_string_opt h, float_of_string_opt t) with
+      | Some h, Some t -> Ok (At (h, t))
+      | _ -> bad "host@time or rand:p")
+    | [ r ] when String.length r > 5 && String.sub r 0 5 = "rand:" -> (
+      match float_of_string_opt (String.sub r 5 (String.length r - 5)) with
+      | Some p when p >= 0.0 && p <= 1.0 -> Ok (Rand p)
+      | _ -> bad "rand:p with 0<=p<=1")
+    | _ -> bad "host@time or rand:p"
+  in
+  let print ppf = function
+    | At (h, t) -> Format.fprintf ppf "%d@@%g" h t
+    | Rand p -> Format.fprintf ppf "rand:%g" p
+  in
+  Arg.conv (parse, print)
+
+let expand_crashes specs ~hosts ~seed ~horizon =
   let rng = Mp_util.Prng.create ~seed in
   List.concat_map
-    (fun spec ->
-      match String.split_on_char '@' spec with
-      | [ h; t ] -> (
-        match (int_of_string_opt h, float_of_string_opt t) with
-        | Some h, Some t -> [ (h, t) ]
-        | _ -> invalid_arg (Printf.sprintf "bad --crash %S (host@time or rand:p)" spec))
-      | [ r ] when String.length r > 5 && String.sub r 0 5 = "rand:" -> (
-        match float_of_string_opt (String.sub r 5 (String.length r - 5)) with
-        | Some p when p >= 0.0 && p <= 1.0 ->
-          List.filter_map
-            (fun h ->
-              if Mp_util.Prng.float rng 1.0 < p then
-                Some (h, Mp_util.Prng.float rng horizon)
-              else None)
-            (List.init (hosts - 1) (fun i -> i + 1))
-        | _ -> invalid_arg (Printf.sprintf "bad --crash %S (rand:p with 0<=p<=1)" spec))
-      | _ -> invalid_arg (Printf.sprintf "bad --crash %S (host@time or rand:p)" spec))
+    (function
+      | At (h, t) -> [ (h, t) ]
+      | Rand p ->
+        List.filter_map
+          (fun h ->
+            if Mp_util.Prng.float rng 1.0 < p then
+              Some (h, Mp_util.Prng.float rng horizon)
+            else None)
+          (List.init (hosts - 1) (fun i -> i + 1)))
     specs
 
-let parse_stall_specs specs =
-  List.map
-    (fun spec ->
+let stall_conv =
+  let parse spec =
+    let parsed =
       match String.split_on_char '@' spec with
       | [ h; rest ] -> (
         match String.split_on_char '+' rest with
         | [ t; d ] -> (
-          match
-            (int_of_string_opt h, float_of_string_opt t, float_of_string_opt d)
-          with
-          | Some h, Some t, Some d -> (h, t, d)
-          | _ -> invalid_arg (Printf.sprintf "bad --stall %S (host@time+dur)" spec))
-        | _ -> invalid_arg (Printf.sprintf "bad --stall %S (host@time+dur)" spec))
-      | _ -> invalid_arg (Printf.sprintf "bad --stall %S (host@time+dur)" spec))
-    specs
+          match (int_of_string_opt h, float_of_string_opt t, float_of_string_opt d) with
+          | Some h, Some t, Some d -> Some (h, t, d)
+          | _ -> None)
+        | _ -> None)
+      | _ -> None
+    in
+    Option.to_result parsed
+      ~none:(`Msg (Printf.sprintf "bad --stall %S (host@time+dur)" spec))
+  in
+  let print ppf (h, t, d) = Format.fprintf ppf "%d@@%g+%g" h t d in
+  Arg.conv (parse, print)
+
+let chunking_name = function
+  | Mp_multiview.Allocator.Page_grain -> "none"
+  | Fine n -> string_of_int n
+
+let chunking_conv =
+  let parse = function
+    | "none" -> Ok Mp_multiview.Allocator.Page_grain
+    | s -> (
+      match int_of_string_opt s with
+      | Some n when n >= 1 -> Ok (Mp_multiview.Allocator.Fine n)
+      | _ -> Error (`Msg (Printf.sprintf "bad chunking %S (a level >= 1, or none)" s)))
+  in
+  Arg.conv (parse, fun ppf c -> Format.pp_print_string ppf (chunking_name c))
 
 let report_ft (t : Mp_millipage.Dsm.t) =
   let module D = Mp_millipage.Dsm in
@@ -249,218 +295,200 @@ let report_ft (t : Mp_millipage.Dsm.t) =
         (c "replicate.rollbacks")
   end
 
+(* Flags only Millipage implements: on ivy or lrc each one is rejected up
+   front rather than silently ignored. *)
+let millipage_only system ~chunking ~consistency ~homes ~faults ~ft =
+  match system with
+  | `Millipage -> None
+  | (`Ivy | `Lrc) as s ->
+    let sys = name_of systems s in
+    List.find_map
+      (fun (set, msg) -> if set then Some (Printf.sprintf msg sys) else None)
+      [
+        ( chunking <> Mp_multiview.Allocator.Fine 1,
+          "chunking (--chunking) requires --system millipage; %s has a fixed \
+           page-grain layout" );
+        ( consistency <> `Sc,
+          "protocol modes (--consistency) require --system millipage; %s has a \
+           single fixed protocol" );
+        ( homes <> H.Central,
+          "home sharding (--homes) requires --system millipage; %s has a single \
+           manager" );
+        ( Mp_net.Fabric.faults_active faults,
+          "fault injection (--loss/--dup/--reorder) requires --system millipage; \
+           %s has no reliable transport" );
+        ( ft,
+          "crash-fault tolerance (--ft/--crash/--stall) requires --system \
+           millipage; %s has no failure detector" );
+      ]
+
+let run_millipage engine t app paper obs_opts ~homes_config ~consistency ~ft_config
+    ~crashes =
+  let module R = Runner (Mp_dsm.Millipage_impl) in
+  let c n = Mp_util.Stats.Counters.get (Mp_millipage.Dsm.counters t) n in
+  let exec () =
+    R.exec t engine app paper obs_opts
+      ~extra:(fun () ->
+        Printf.printf "views used:   %d, competing requests: %d\n"
+          (Mp_millipage.Dsm.views_used t)
+          (Mp_millipage.Dsm.competing_requests t);
+        if homes_config.H.policy <> H.Central then
+          Printf.printf
+            "homes:        policy %s; %d redirect(s); queue depth by home \
+             [%s]\n"
+            (H.policy_name homes_config.H.policy)
+            (c "homes.redirects")
+            (String.concat ","
+               (Array.to_list
+                  (Array.map string_of_int
+                     (Mp_millipage.Dsm.max_queue_depth_by_home t))));
+        if consistency <> `Sc then begin
+          let census =
+            Mp_millipage.Dsm.modes t
+            |> List.map (fun (m, n) ->
+                   Printf.sprintf "%s %d" (Mp_millipage.Proto.mode_to_string m) n)
+            |> String.concat ", "
+          in
+          Printf.printf
+            "consistency:  %s (%s); %d switch(es), %d twin(s), %d diff(s) \
+             (%d bytes)\n"
+            (C.mode_name consistency) census
+            (c "rc.promotes" + c "rc.demotes")
+            (c "rc.twins") (c "rc.diffs") (c "rc.diff_bytes")
+        end;
+        if Mp_millipage.Dsm.faulty t then
+          Printf.printf
+            "net faults:   %d dropped, %d duplicated, %d reordered; %d \
+             retransmits, %d dups suppressed\n"
+            (c "net.dropped") (c "net.duplicated") (c "net.reordered")
+            (c "transport.retransmits") (c "transport.dups_suppressed");
+        if ft_config <> None then report_ft t)
+      ~degraded:(fun () -> Mp_millipage.Dsm.declared_dead t <> [])
+      ()
+  in
+  match exec () with
+  | () -> ()
+  | exception Mp_millipage.Dsm.Deadlock msg ->
+    Printf.eprintf "mprun: %s\n" msg;
+    exit 2
+  | exception Mp_millipage.Dsm.Crash_unrecoverable msg ->
+    Printf.printf "result:       unrecoverable — %s\n" msg;
+    report_ft t;
+    (* a home and its backup dying before promotion is the designed halt,
+       and it takes two crashes: with fewer it is a protocol bug *)
+    exit (if List.length crashes >= 2 then 0 else 3)
+
 let execute app system hosts chunking polling paper trace_out perfetto metrics
     profile profile_out loss dup reorder net_seed ft crash stall crash_seed
     crash_horizon homes home_block consistency adapt_interval =
   let meta =
     [
-      ("app", app);
-      ("system", system);
+      ("app", name_of apps app);
+      ("system", name_of systems system);
       ("hosts", string_of_int hosts);
-      ("homes", homes);
-      ("chunking", chunking);
-      ("polling", polling);
+      ("homes", H.policy_name homes);
+      ("chunking", chunking_name chunking);
+      ("polling", name_of pollings polling);
       ("net_seed", string_of_int net_seed);
       ("crash_seed", string_of_int crash_seed);
     ]
-    @ (if consistency = "sc" then [] else [ ("consistency", consistency) ])
+    @ if consistency = `Sc then [] else [ ("consistency", C.mode_name consistency) ]
   in
   let obs_opts =
     { Obs_opts.trace_out; perfetto; metrics; profile; profile_out; meta }
   in
-  let homes_config =
-    let module H = Mp_millipage.Dsm.Config.Homes in
-    match H.policy_of_string homes with
-    | Some H.Block -> H.block home_block
-    | Some policy -> { H.default with policy }
-    | None ->
-      invalid_arg (Printf.sprintf "unknown homes policy %S (central|rr|block|ft)" homes)
-  in
-  let consistency_config =
-    let module C = Mp_millipage.Dsm.Config.Consistency in
-    match C.mode_of_string consistency with
-    | Some mode ->
-      C.with_adapt_interval (C.with_mode C.default mode) adapt_interval
-    | None ->
-      invalid_arg
-        (Printf.sprintf "unknown consistency %S (sc|rc|adaptive)" consistency)
-  in
-  if consistency <> "sc" && system <> "millipage" then
-    invalid_arg
-      (Printf.sprintf
-         "protocol modes (--consistency) require --system millipage; %s has a \
-          single fixed protocol"
-         system);
-  if homes_config.Mp_millipage.Dsm.Config.Homes.policy <> Mp_millipage.Dsm.Config.Homes.Central
-     && system <> "millipage"
-  then
-    invalid_arg
-      (Printf.sprintf
-         "home sharding (--homes) requires --system millipage; %s has a single manager"
-         system);
   let faults =
     { Mp_net.Fabric.no_faults with drop = loss; duplicate = dup; reorder }
   in
-  if Mp_net.Fabric.faults_active faults && system <> "millipage" then
-    invalid_arg
-      (Printf.sprintf
-         "fault injection (--loss/--dup/--reorder) requires --system millipage; %s \
-          has no reliable transport"
-         system);
-  let crashes =
-    parse_crash_specs crash ~hosts ~seed:crash_seed ~horizon:crash_horizon
+  let rejection =
+    if hosts < 1 then Some "--hosts must be at least 1"
+    else if adapt_interval < 1 then Some "--adapt-interval must be at least 1"
+    else if home_block < 1 then Some "--home-block must be at least 1"
+    else
+      millipage_only system ~chunking ~consistency ~homes ~faults
+        ~ft:(ft || crash <> [] || stall <> [])
   in
-  let stalls = parse_stall_specs stall in
-  let ft_config =
-    if ft || crashes <> [] || stalls <> [] then
-      Some { Mp_millipage.Dsm.Config.Ft.default with crashes; stalls }
-    else None
-  in
-  if ft_config <> None && system <> "millipage" then
-    invalid_arg
-      (Printf.sprintf
-         "crash-fault tolerance (--ft/--crash/--stall) requires --system \
-          millipage; %s has no failure detector"
-         system);
-  let polling_mode =
-    match polling with
-    | "nt" -> Mp_net.Polling.nt_mode
-    | "fast" -> Mp_net.Polling.Fast
-    | other -> invalid_arg (Printf.sprintf "unknown polling %S (nt|fast)" other)
-  in
-  let chunking_mode =
-    match chunking with
-    | "none" -> Mp_multiview.Allocator.Page_grain
-    | s -> Mp_multiview.Allocator.Fine (int_of_string s)
-  in
-  let engine = Engine.create () in
-  match system with
-  | "millipage" -> (
-    let config =
-      {
-        Mp_millipage.Dsm.Config.default with
-        polling = polling_mode;
-        chunking = chunking_mode;
-        net =
-          { Mp_millipage.Dsm.Config.Net.default with faults; seed = net_seed };
-        ft = ft_config;
-        homes = homes_config;
-        consistency = consistency_config;
-      }
-    in
-    let t = Mp_millipage.Dsm.create engine ~hosts ~config () in
-    let module R = Runner (Mp_dsm.Millipage_impl) in
-    let c n = Mp_util.Stats.Counters.get (Mp_millipage.Dsm.counters t) n in
-    let exec () =
+  match rejection with
+  | Some msg -> `Error (false, msg)
+  | None -> (
+    let engine = Engine.create () in
+    match system with
+    | `Millipage -> (
+      let crashes =
+        expand_crashes crash ~hosts ~seed:crash_seed ~horizon:crash_horizon
+      in
+      let ft_config =
+        if ft || crashes <> [] || stall <> [] then
+          Some { Mp_millipage.Dsm.Config.Ft.default with crashes; stalls = stall }
+        else None
+      in
+      let homes_config =
+        match homes with H.Block -> H.block home_block | policy -> { H.default with policy }
+      in
+      let config =
+        {
+          Mp_millipage.Dsm.Config.default with
+          polling;
+          chunking;
+          net = { Mp_millipage.Dsm.Config.Net.default with faults; seed = net_seed };
+          ft = ft_config;
+          homes = homes_config;
+          consistency = C.with_adapt_interval (C.with_mode C.default consistency) adapt_interval;
+        }
+      in
+      (* what Dsm.create still refuses (a crash naming host 0 or a host
+         past the last, an out-of-range fault rate) is a usage error too *)
+      match Mp_millipage.Dsm.create engine ~hosts ~config () with
+      | exception Invalid_argument msg -> `Error (false, msg)
+      | t ->
+        run_millipage engine t app paper obs_opts ~homes_config ~consistency
+          ~ft_config ~crashes;
+        `Ok ())
+    | `Ivy ->
+      let t = Mp_baselines.Ivy.create engine ~hosts ~polling () in
+      let module R = Runner (Mp_baselines.Ivy) in
+      R.exec t engine app paper obs_opts ();
+      `Ok ()
+    | `Lrc ->
+      let t = Mp_baselines.Lrc.create engine ~hosts ~polling () in
+      let module R = Runner (Mp_baselines.Lrc) in
       R.exec t engine app paper obs_opts
         ~extra:(fun () ->
-          Printf.printf "views used:   %d, competing requests: %d\n"
-            (Mp_millipage.Dsm.views_used t)
-            (Mp_millipage.Dsm.competing_requests t);
-          (let module H = Mp_millipage.Dsm.Config.Homes in
-           if homes_config.H.policy <> H.Central then
-             Printf.printf
-               "homes:        policy %s; %d redirect(s); queue depth by home \
-                [%s]\n"
-               (H.policy_name homes_config.H.policy)
-               (c "homes.redirects")
-               (String.concat ","
-                  (Array.to_list
-                     (Array.map string_of_int
-                        (Mp_millipage.Dsm.max_queue_depth_by_home t)))));
-          (let module C = Mp_millipage.Dsm.Config.Consistency in
-           if consistency_config.C.mode <> `Sc then begin
-             let census =
-               Mp_millipage.Dsm.modes t
-               |> List.map (fun (m, n) ->
-                      Printf.sprintf "%s %d" (Mp_millipage.Proto.mode_to_string m) n)
-               |> String.concat ", "
-             in
-             Printf.printf
-               "consistency:  %s (%s); %d switch(es), %d twin(s), %d diff(s) \
-                (%d bytes)\n"
-               (C.mode_name consistency_config.C.mode)
-               census
-               (c "rc.promotes" + c "rc.demotes")
-               (c "rc.twins") (c "rc.diffs") (c "rc.diff_bytes")
-           end);
-          if Mp_millipage.Dsm.faulty t then
-            Printf.printf
-              "net faults:   %d dropped, %d duplicated, %d reordered; %d \
-               retransmits, %d dups suppressed\n"
-              (c "net.dropped") (c "net.duplicated") (c "net.reordered")
-              (c "transport.retransmits") (c "transport.dups_suppressed");
-          if ft_config <> None then report_ft t)
-        ~degraded:(fun () -> Mp_millipage.Dsm.declared_dead t <> [])
-        ()
-    in
-    match exec () with
-    | () -> ()
-    | exception Mp_millipage.Dsm.Deadlock msg ->
-      Printf.eprintf "mprun: %s\n" msg;
-      exit 2
-    | exception Mp_millipage.Dsm.Crash_unrecoverable msg ->
-      Printf.printf "result:       unrecoverable — %s\n" msg;
-      report_ft t;
-      (* a home and its backup dying before promotion is the designed halt,
-         and it takes two crashes: with fewer it is a protocol bug *)
-      exit (if List.length crashes >= 2 then 0 else 3))
-  | "ivy" ->
-    let t = Mp_baselines.Ivy.create engine ~hosts ~polling:polling_mode () in
-    let module R = Runner (Mp_baselines.Ivy) in
-    R.exec t engine app paper obs_opts ()
-  | "lrc" ->
-    let t = Mp_baselines.Lrc.create engine ~hosts ~polling:polling_mode () in
-    let module R = Runner (Mp_baselines.Lrc) in
-    R.exec t engine app paper obs_opts
-      ~extra:(fun () ->
-        Printf.printf "diffs:        %d (%d bytes), twins: %d\n"
-          (Mp_baselines.Lrc.diffs_created t)
-          (Mp_baselines.Lrc.diff_bytes t)
-          (Mp_baselines.Lrc.twins_created t))
-      ()
-  | "mrc" ->
-    let t =
-      Mp_baselines.Mrc.create engine ~hosts ~chunking:chunking_mode
-        ~polling:polling_mode ()
-    in
-    let module R = Runner (Mp_baselines.Mrc) in
-    R.exec t engine app paper obs_opts
-      ~extra:(fun () ->
-        Printf.printf "diffs:        %d (%d bytes), twins: %d, views: %d\n"
-          (Mp_baselines.Mrc.diffs_created t)
-          (Mp_baselines.Mrc.diff_bytes t)
-          (Mp_baselines.Mrc.twins_created t)
-          (Mp_baselines.Mrc.views_used t))
-      ()
-  | other -> invalid_arg (Printf.sprintf "unknown system %S (millipage|ivy|lrc|mrc)" other)
+          Printf.printf "diffs:        %d (%d bytes), twins: %d\n"
+            (Mp_baselines.Lrc.diffs_created t)
+            (Mp_baselines.Lrc.diff_bytes t)
+            (Mp_baselines.Lrc.twins_created t))
+        ();
+      `Ok ())
 
 let app_arg =
   Arg.(
     required
-    & opt (some string) None
+    & opt (some (enum apps)) None
     & info [ "a"; "app" ] ~docv:"APP" ~doc:"Application: sor, is, water, lu or tsp.")
 
 let system_arg =
   Arg.(
-    value & opt string "millipage"
+    value & opt (enum systems) `Millipage
     & info
         [ "s"; "system"; "dsm" ]
         ~docv:"SYS"
-        ~doc:"DSM system: millipage, ivy, lrc, or mrc (relaxed consistency on minipages).")
+        ~doc:
+          "DSM system: millipage, ivy or lrc.  Relaxed consistency on \
+           minipages (paper §5) is millipage with --consistency rc --homes rr.")
 
 let hosts_arg =
   Arg.(value & opt int 8 & info [ "n"; "hosts" ] ~docv:"N" ~doc:"Number of hosts (1-8+).")
 
 let chunking_arg =
   Arg.(
-    value & opt string "1"
+    value & opt chunking_conv (Mp_multiview.Allocator.Fine 1)
     & info [ "c"; "chunking" ] ~docv:"LEVEL"
         ~doc:"Chunking level (integer) or 'none' for page-grain (millipage only).")
 
 let polling_arg =
   Arg.(
-    value & opt string "nt"
+    value & opt (enum pollings) Mp_net.Polling.nt_mode
     & info [ "p"; "polling" ] ~docv:"MODE" ~doc:"Polling model: nt or fast.")
 
 let paper_arg =
@@ -551,7 +579,7 @@ let ft_arg =
 
 let crash_arg =
   Arg.(
-    value & opt_all string []
+    value & opt_all crash_conv []
     & info [ "crash" ] ~docv:"SPEC"
         ~doc:
           "Fail-stop a host: HOST@TIME (µs) crashes that host at that time; \
@@ -560,7 +588,7 @@ let crash_arg =
 
 let stall_arg =
   Arg.(
-    value & opt_all string []
+    value & opt_all stall_conv []
     & info [ "stall" ] ~docv:"SPEC"
         ~doc:
           "Freeze a host's network endpoint: HOST@TIME+DUR (µs).  A stall \
@@ -580,7 +608,7 @@ let crash_horizon_arg =
 
 let homes_arg =
   Arg.(
-    value & opt string "central"
+    value & opt (enum homes_policies) H.Central
     & info [ "homes" ] ~docv:"POLICY"
         ~doc:
           "Home-assignment policy for minipage directory shards: central \
@@ -596,7 +624,7 @@ let home_block_arg =
 
 let consistency_arg =
   Arg.(
-    value & opt string "sc"
+    value & opt (enum consistencies) `Sc
     & info [ "consistency" ] ~docv:"MODE"
         ~doc:
           "Per-minipage consistency protocol: sc (the paper's Figure-3 \
@@ -616,12 +644,12 @@ let adapt_interval_arg =
 
 let () =
   let term =
-    Term.(const execute $ app_arg $ system_arg $ hosts_arg $ chunking_arg $ polling_arg
+    Term.(ret (const execute $ app_arg $ system_arg $ hosts_arg $ chunking_arg $ polling_arg
           $ paper_arg $ trace_out_arg $ perfetto_arg $ metrics_arg $ profile_arg
           $ profile_out_arg $ loss_arg $ dup_arg $ reorder_arg $ net_seed_arg
           $ ft_arg $ crash_arg $ stall_arg $ crash_seed_arg $ crash_horizon_arg
           $ homes_arg $ home_block_arg $ consistency_arg
-          $ adapt_interval_arg)
+          $ adapt_interval_arg))
   in
   let info =
     Cmd.info "mprun" ~doc:"Run a Millipage benchmark application on a simulated cluster"

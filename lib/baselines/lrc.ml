@@ -3,34 +3,24 @@ open Mp_sim
 open Mp_memsim
 open Mp_net
 
-(* The twin/diff machinery moved into mp_millipage (shared with millipage's
-   RC mode and MRC); this alias keeps the baseline self-contained to read. *)
+(* The twin/diff machinery lives in mp_millipage (shared with millipage's
+   RC mode); this alias keeps the baseline self-contained to read. *)
 module Twin_diff = Mp_millipage.Twin_diff
 
-module Cost = struct
-  type t = {
-    fault_us : float;
-    set_prot_us : float;
-    twin_us : float;
-    dispatch_us : float;
-    sync_dispatch_us : float;
-    wakeup_us : float;
-    recv_dma_us_per_byte : float;
-    header_bytes : int;
-  }
-
-  let default =
-    {
-      fault_us = 26.0;
-      set_prot_us = 12.0;
-      twin_us = 20.0;
-      dispatch_us = 21.0;
-      sync_dispatch_us = 8.0;
-      wakeup_us = 25.0;
-      recv_dma_us_per_byte = 0.0086;
-      header_bytes = 32;
-    }
-end
+(* Fixed parameters: a 16 MB shared object in 4 KB pages, and the costs
+   (µs) of the page-based systems this baseline models. *)
+let page_size = 4096
+let object_size = 16 * 1024 * 1024
+let pages = object_size / page_size
+let seed = 1
+let fault_us = 26.0
+let set_prot_us = 12.0
+let twin_us = 20.0  (* 4 KB page copy at first write fault *)
+let dispatch_us = 21.0
+let sync_dispatch_us = 8.0
+let wakeup_us = 25.0
+let recv_dma_us_per_byte = 0.0086
+let header_bytes = 32
 
 type body =
   | Fetch of { req_id : int; page : int; from : int }
@@ -80,11 +70,7 @@ type lock_state = { mutable held : bool; lock_queue : int Queue.t }
 
 type t = {
   engine : Engine.t;
-  cost : Cost.t;
   obs : Obs.t;
-  page_size : int;
-  pages : int;
-  object_size : int;
   fabric : body Fabric.t;
   host_states : host_state array;
   (* manager (host 0) bookkeeping *)
@@ -119,15 +105,14 @@ let fresh_req t =
   t.next_req <- t.next_req + 1;
   t.next_req
 
-let header t = t.cost.header_bytes
 let send t ~src ~dst ~bytes body = Fabric.send t.fabric ~src ~dst ~bytes body
 
-let set_page_prot t (h : host_state) page prot =
-  Engine.delay t.cost.set_prot_us;
+let set_page_prot (h : host_state) page prot =
+  Engine.delay set_prot_us;
   Vm.protect h.vm ~view:0 ~vpage:page prot
 
-let page_bytes t (h : host_state) page =
-  Vm.priv_read_bytes h.vm ~off:(page * t.page_size) ~len:t.page_size
+let page_bytes (h : host_state) page =
+  Vm.priv_read_bytes h.vm ~off:(page * page_size) ~len:page_size
 
 (* ------------------------------------------------------------------ *)
 (* Manager bookkeeping                                                 *)
@@ -198,12 +183,12 @@ let flush ctx =
     (fun page state ->
       match state with
       | Dirty twin ->
-        Engine.delay (Twin_diff.creation_cost_us ~page_bytes:t.page_size);
-        let current = page_bytes t h page in
+        Engine.delay (Twin_diff.creation_cost_us ~page_bytes:page_size);
+        let current = page_bytes h page in
         let diff = Twin_diff.diff ~twin ~current in
         h.pstate.(page) <- Clean;
         Vm.protect h.vm ~view:0 ~vpage:page Prot.Read_only;
-        Engine.delay t.cost.set_prot_us;
+        Engine.delay set_prot_us;
         if not (Twin_diff.is_empty diff) then begin
           dirtied := page :: !dirtied;
           Stats.Counters.incr t.diffs;
@@ -216,7 +201,7 @@ let flush ctx =
             h.flush_pending <- h.flush_pending + 1;
             let seq = fresh_req t in
             send t ~src:h.id ~dst:hm
-              ~bytes:(header t + Twin_diff.encoded_bytes diff)
+              ~bytes:(header_bytes + Twin_diff.encoded_bytes diff)
               (Diff_msg { seq; page; diff; from = h.id })
           end
         end
@@ -228,7 +213,7 @@ let flush ctx =
   done;
   h.flush_event <- None;
   if !dirtied <> [] then
-    send t ~src:h.id ~dst:manager ~bytes:(header t)
+    send t ~src:h.id ~dst:manager ~bytes:header_bytes
       (Rel_notice { from = h.id; pages = !dirtied })
 
 (* Bring a page in from its home (or validate it locally when we are the
@@ -238,7 +223,7 @@ let fetch_page ctx page =
   let hm = home t page in
   if hm = h.id then begin
     h.pstate.(page) <- Clean;
-    set_page_prot t h page Prot.Read_only
+    set_page_prot h page Prot.Read_only
   end
   else begin
     let w =
@@ -249,13 +234,13 @@ let fetch_page ctx page =
           { event = Sync.Event.create ~auto_reset:false ~name:"lrc.fetch" (); waiters = 0 }
         in
         Hashtbl.add h.fetching page w;
-        send t ~src:h.id ~dst:hm ~bytes:(header t)
+        send t ~src:h.id ~dst:hm ~bytes:header_bytes
           (Fetch { req_id = fresh_req t; page; from = h.id });
         w
     in
     w.waiters <- w.waiters + 1;
     Sync.Event.wait w.event;
-    Engine.delay t.cost.wakeup_us
+    Engine.delay wakeup_us
   end
 
 let on_fault ctx (f : Vm.fault) =
@@ -265,7 +250,7 @@ let on_fault ctx (f : Vm.fault) =
   let access = match f.access with Prot.Read -> Mp_obs.Event.Read | _ -> Mp_obs.Event.Write in
   Obs.fault_begin t.obs ~time:t0 ~host:h.id ~span ~access ~addr:f.addr ~view:f.view
     ~vpage:f.vpage;
-  Engine.delay t.cost.fault_us;
+  Engine.delay fault_us;
   let page = f.vpage in
   (match (f.access, h.pstate.(page)) with
   | Prot.Read, Invalid -> fetch_page ctx page
@@ -274,10 +259,10 @@ let on_fault ctx (f : Vm.fault) =
     (* fall through: the retry faults again on write and lands in Clean *)
     ()
   | Prot.Write, Clean ->
-    Engine.delay t.cost.twin_us;
+    Engine.delay twin_us;
     Stats.Counters.incr t.twins;
-    h.pstate.(page) <- Dirty (Twin_diff.twin (page_bytes t h page));
-    set_page_prot t h page Prot.Read_write
+    h.pstate.(page) <- Dirty (Twin_diff.twin (page_bytes h page));
+    set_page_prot h page Prot.Read_write
   | Prot.Read, (Clean | Dirty _) | Prot.Write, Dirty _ ->
     failwith "lrc: fault on an accessible page");
   let dt = Engine.now t.engine -. t0 in
@@ -291,20 +276,19 @@ let on_fault ctx (f : Vm.fault) =
 (* ------------------------------------------------------------------ *)
 
 let on_message t (h : host_state) (m : body Fabric.msg) =
-  let cost = t.cost in
   match m.Fabric.body with
   | Fetch { req_id; page; from } ->
-    Engine.delay cost.dispatch_us;
-    let data = page_bytes t h page in
-    send t ~src:h.id ~dst:from ~bytes:t.page_size (Fetch_reply { req_id; page; data })
+    Engine.delay dispatch_us;
+    let data = page_bytes h page in
+    send t ~src:h.id ~dst:from ~bytes:page_size (Fetch_reply { req_id; page; data })
   | Fetch_reply { req_id = _; page; data } -> (
     Engine.delay
-      (cost.dispatch_us +. (cost.recv_dma_us_per_byte *. float_of_int t.page_size));
+      (dispatch_us +. (recv_dma_us_per_byte *. float_of_int page_size));
     (match h.pstate.(page) with
     | Invalid ->
-      Vm.priv_write_bytes h.vm ~off:(page * t.page_size) data;
+      Vm.priv_write_bytes h.vm ~off:(page * page_size) data;
       h.pstate.(page) <- Clean;
-      set_page_prot t h page Prot.Read_only
+      set_page_prot h page Prot.Read_only
     | Clean | Dirty _ -> ());
     match Hashtbl.find_opt h.fetching page with
     | Some w ->
@@ -312,34 +296,34 @@ let on_message t (h : host_state) (m : body Fabric.msg) =
       Sync.Event.set w.event
     | None -> ())
   | Diff_msg { seq; page; diff; from } ->
-    Engine.delay (cost.dispatch_us +. Twin_diff.apply_cost_us diff);
-    let target = page_bytes t h page in
+    Engine.delay (dispatch_us +. Twin_diff.apply_cost_us diff);
+    let target = page_bytes h page in
     Twin_diff.apply diff target;
-    Vm.priv_write_bytes h.vm ~off:(page * t.page_size) target;
-    send t ~src:h.id ~dst:from ~bytes:(header t) (Diff_ack { seq })
+    Vm.priv_write_bytes h.vm ~off:(page * page_size) target;
+    send t ~src:h.id ~dst:from ~bytes:header_bytes (Diff_ack { seq })
   | Diff_ack _ ->
-    Engine.delay cost.sync_dispatch_us;
+    Engine.delay sync_dispatch_us;
     h.flush_pending <- h.flush_pending - 1;
     if h.flush_pending = 0 then
       Option.iter Sync.Event.set h.flush_event
   | Rel_notice { from; pages } ->
-    Engine.delay cost.sync_dispatch_us;
+    Engine.delay sync_dispatch_us;
     manager_record_release t ~from pages
   | B_enter { from = _; phase } ->
-    Engine.delay cost.sync_dispatch_us;
+    Engine.delay sync_dispatch_us;
     let count = 1 + Option.value ~default:0 (Hashtbl.find_opt t.barrier_counts phase) in
     if count >= t.total_threads then begin
       Hashtbl.remove t.barrier_counts phase;
       for dst = 0 to hosts t - 1 do
         let invalidate = invalidation_list t ~for_host:dst in
         send t ~src:manager ~dst
-          ~bytes:(header t + (4 * List.length invalidate))
+          ~bytes:(header_bytes + (4 * List.length invalidate))
           (B_release { phase; invalidate })
       done
     end
     else Hashtbl.replace t.barrier_counts phase count
   | B_release { phase; invalidate } ->
-    Engine.delay cost.sync_dispatch_us;
+    Engine.delay sync_dispatch_us;
     invalidate_pages t h invalidate;
     let ev =
       match Hashtbl.find_opt h.barrier_events phase with
@@ -351,7 +335,7 @@ let on_message t (h : host_state) (m : body Fabric.msg) =
     in
     Sync.Event.set ev
   | L_acquire { from; lock } -> (
-    Engine.delay cost.sync_dispatch_us;
+    Engine.delay sync_dispatch_us;
     let s =
       match Hashtbl.find_opt t.locks lock with
       | Some s -> s
@@ -363,7 +347,7 @@ let on_message t (h : host_state) (m : body Fabric.msg) =
     let grant dst =
       let invalidate = invalidation_list t ~for_host:dst in
       send t ~src:manager ~dst
-        ~bytes:(header t + (4 * List.length invalidate))
+        ~bytes:(header_bytes + (4 * List.length invalidate))
         (L_grant { lock; invalidate })
     in
     if s.held then Queue.add from s.lock_queue
@@ -372,19 +356,19 @@ let on_message t (h : host_state) (m : body Fabric.msg) =
       grant from
     end)
   | L_grant { lock; invalidate } -> (
-    Engine.delay cost.sync_dispatch_us;
+    Engine.delay sync_dispatch_us;
     invalidate_pages t h invalidate;
     match Hashtbl.find_opt h.lock_waiters lock with
     | Some q when not (Queue.is_empty q) -> Sync.Event.set (Queue.take q)
     | Some _ | None -> failwith "lrc: LOCK grant with no local waiter")
   | L_release { from = _; lock } -> (
-    Engine.delay cost.sync_dispatch_us;
+    Engine.delay sync_dispatch_us;
     let s = Hashtbl.find t.locks lock in
     match Queue.take_opt s.lock_queue with
     | Some next ->
       let invalidate = invalidation_list t ~for_host:next in
       send t ~src:manager ~dst:next
-        ~bytes:(header t + (4 * List.length invalidate))
+        ~bytes:(header_bytes + (4 * List.length invalidate))
         (L_grant { lock; invalidate })
     | None -> s.held <- false)
 
@@ -392,12 +376,10 @@ let on_message t (h : host_state) (m : body Fabric.msg) =
 (* Construction / init phase                                           *)
 (* ------------------------------------------------------------------ *)
 
-let create engine ~hosts:nhosts ?(object_size = 16 * 1024 * 1024) ?(page_size = 4096)
-    ?(cost = Cost.default) ?(polling = Polling.nt_mode) ?(seed = 1) () =
+let create engine ~hosts:nhosts ?(polling = Polling.nt_mode) () =
   if nhosts <= 0 then invalid_arg "Lrc.create: hosts";
   let counters = Stats.Counters.create () in
   let fabric = Fabric.create engine ~hosts:nhosts ~counters ~polling ~seed () in
-  let pages = (object_size + page_size - 1) / page_size in
   let mk_host id =
     let obj = Memobject.create ~page_size ~size:object_size () in
     let vm = Vm.create ~counters obj in
@@ -419,11 +401,7 @@ let create engine ~hosts:nhosts ?(object_size = 16 * 1024 * 1024) ?(page_size = 
   let t =
     {
       engine;
-      cost;
       obs = Obs.create ();
-      page_size;
-      pages;
-      object_size;
       fabric;
       host_states = Array.init nhosts mk_host;
       interval = 0;
@@ -454,14 +432,14 @@ let align8 n = (n + 7) land lnot 7
 let malloc t size =
   if t.started then invalid_arg "Lrc.malloc: allocation only in the init phase";
   if size <= 0 then invalid_arg "Lrc.malloc: size";
-  let next_page = ((t.next_off / t.page_size) + 1) * t.page_size in
+  let next_page = ((t.next_off / page_size) + 1) * page_size in
   let off =
-    if size <= t.page_size then
-      if (t.next_off mod t.page_size) + size <= t.page_size then t.next_off else next_page
-    else if t.next_off mod t.page_size = 0 then t.next_off
+    if size <= page_size then
+      if (t.next_off mod page_size) + size <= page_size then t.next_off else next_page
+    else if t.next_off mod page_size = 0 then t.next_off
     else next_page
   in
-  if off + size > t.object_size then failwith "Lrc.malloc: out of memory";
+  if off + size > object_size then failwith "Lrc.malloc: out of memory";
   t.next_off <- align8 (off + size);
   Vm.address t.host_states.(0).vm ~view:0 off
 
@@ -568,9 +546,9 @@ let barrier ctx =
       ev
   in
   Obs.barrier_enter t.obs ~time:(Engine.now t.engine) ~host:h.id ~bphase:phase;
-  send t ~src:h.id ~dst:manager ~bytes:(header t) (B_enter { from = h.id; phase });
+  send t ~src:h.id ~dst:manager ~bytes:header_bytes (B_enter { from = h.id; phase });
   Sync.Event.wait ev;
-  Engine.delay t.cost.wakeup_us;
+  Engine.delay wakeup_us;
   Obs.barrier_exit t.obs ~time:(Engine.now t.engine) ~host:h.id ~bphase:phase
     ~waited_us:(Engine.now t.engine -. t0);
   charge_synch h (Engine.now t.engine -. t0)
@@ -589,9 +567,9 @@ let lock ctx l =
   Queue.add ev q;
   let t0 = Engine.now t.engine in
   Obs.lock_acquire t.obs ~time:t0 ~host:h.id ~lock:l;
-  send t ~src:h.id ~dst:manager ~bytes:(header t) (L_acquire { from = h.id; lock = l });
+  send t ~src:h.id ~dst:manager ~bytes:header_bytes (L_acquire { from = h.id; lock = l });
   Sync.Event.wait ev;
-  Engine.delay t.cost.wakeup_us;
+  Engine.delay wakeup_us;
   Obs.lock_grant t.obs ~time:(Engine.now t.engine) ~host:h.id ~lock:l
     ~waited_us:(Engine.now t.engine -. t0);
   charge_synch h (Engine.now t.engine -. t0)
@@ -601,7 +579,7 @@ let unlock ctx l =
   let t0 = Engine.now t.engine in
   flush ctx;
   Obs.lock_release t.obs ~time:(Engine.now t.engine) ~host:h.id ~lock:l;
-  send t ~src:h.id ~dst:manager ~bytes:(header t) (L_release { from = h.id; lock = l });
+  send t ~src:h.id ~dst:manager ~bytes:header_bytes (L_release { from = h.id; lock = l });
   charge_synch h (Engine.now t.engine -. t0)
 
 let prefetch ctx addr _access =
@@ -614,7 +592,7 @@ let prefetch ctx addr _access =
         { event = Sync.Event.create ~auto_reset:false ~name:"lrc.fetch" (); waiters = 0 }
       in
       Hashtbl.add h.fetching page w;
-      send t ~src:h.id ~dst:hm ~bytes:(header t)
+      send t ~src:h.id ~dst:hm ~bytes:header_bytes
         (Fetch { req_id = fresh_req t; page; from = h.id })
     end
   end
@@ -665,5 +643,5 @@ let twins_created t = Stats.Counters.value t.twins
 let mode_of _ _ = Mp_millipage.Proto.Rc
 
 let modes t =
-  let allocated = (t.next_off + t.page_size - 1) / t.page_size in
+  let allocated = (t.next_off + page_size - 1) / page_size in
   [ (Mp_millipage.Proto.Sc, 0); (Mp_millipage.Proto.Rc, allocated) ]

@@ -73,9 +73,9 @@ module type S = sig
   (** Consistency protocol currently serving the sharing unit with the given
       id: {!Mp_millipage.Proto.Sc} (single-writer invalidation) or [Rc]
       (multi-writer twin/diff release consistency).  Fixed by construction on
-      the single-protocol systems — Ivy answers [Sc], the LRC and MRC
-      baselines answer [Rc] — while Millipage's adaptive mode can move a
-      minipage between the two at sync points over the run. *)
+      the single-protocol systems — Ivy answers [Sc], the LRC baseline
+      answers [Rc] — while Millipage's adaptive mode can move a minipage
+      between the two at sync points over the run. *)
 
   val modes : t -> (Mp_millipage.Proto.mode * int) list
   (** Census of sharing units by current mode, as [[(Sc, n); (Rc, m)]]. *)

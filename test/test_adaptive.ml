@@ -1,6 +1,7 @@
 (* Adaptive per-minipage consistency: the Config.Consistency API, the pure
    multi-writer RC path (twin on write fault, release-time diffs, acquire
-   invalidation), the governor's promote/demote cycle with its
+   invalidation), §5's relaxed consistency on minipages (round-robin homes,
+   chunked layouts), the governor's promote/demote cycle with its
    switch-only-at-sync-points rule, diff-merge determinism, crash recovery
    under replication, and result equivalence with SC on the applications. *)
 
@@ -101,6 +102,144 @@ let test_rc_beats_sc_on_false_sharing () =
   Alcotest.(check bool)
     (Printf.sprintf "rc %d msgs < sc %d msgs" rc_msgs sc_msgs)
     true (rc_msgs < sc_msgs)
+
+(* ---------------- §5: relaxed consistency on minipages ----------------- *)
+
+(* The paper's proposal: MultiView's layout with a multi-writer RC protocol
+   at minipage granularity, homes spread round-robin over the hosts. *)
+let rc_scenario ?(hosts = 2) ?(chunking = Mp_multiview.Allocator.Fine 1) setup =
+  let config =
+    {
+      (Dsm.Config.with_chunking Dsm.Config.default chunking) with
+      consistency = Consistency.rc;
+      homes = Homes.round_robin;
+      polling = Mp_net.Polling.Fast;
+    }
+  in
+  let dsm = Dsm.create (Engine.create ()) ~hosts ~config () in
+  setup dsm;
+  Dsm.run dsm;
+  dsm
+
+let test_rc_read_from_home () =
+  let v = ref 0.0 in
+  let dsm =
+    rc_scenario ~hosts:3 (fun dsm ->
+        let x = Dsm.malloc dsm 64 in
+        Dsm.init_write_f64 dsm x 5.5;
+        Dsm.spawn dsm ~host:1 (fun ctx -> v := Dsm.read_f64 ctx x))
+  in
+  Alcotest.(check (float 0.0)) "home copy" 5.5 !v;
+  Alcotest.(check int) "one fault" 1 (Dsm.read_faults dsm)
+
+let test_rc_local_writes () =
+  let dsm =
+    rc_scenario (fun dsm ->
+        let x = Dsm.malloc dsm 64 in
+        Dsm.spawn dsm ~host:1 (fun ctx ->
+            for i = 1 to 100 do
+              Dsm.write_f64 ctx x (float_of_int i)
+            done))
+  in
+  Alcotest.(check int) "one twin" 1 (counter dsm "rc.twins");
+  Alcotest.(check int) "no diffs before release" 0 (counter dsm "rc.diffs")
+
+let test_rc_barrier_propagates () =
+  (* host 0 holds a clean copy across the barrier: the acquire must drop it *)
+  let v = ref 0.0 in
+  let dsm =
+    rc_scenario (fun dsm ->
+        let x = Dsm.malloc dsm 64 in
+        Dsm.init_write_f64 dsm x 1.0;
+        Dsm.spawn dsm ~host:1 (fun ctx ->
+            Dsm.write_f64 ctx x 4.0;
+            Dsm.barrier ctx);
+        Dsm.spawn dsm ~host:0 (fun ctx ->
+            ignore (Dsm.read_f64 ctx x);
+            Dsm.barrier ctx;
+            v := Dsm.read_f64 ctx x))
+  in
+  Alcotest.(check (float 0.0)) "visible after barrier" 4.0 !v;
+  Alcotest.(check bool) "diff shipped" true (counter dsm "rc.diffs" >= 1)
+
+let test_rc_multi_writer_chunk () =
+  (* two hosts write different variables inside ONE chunked minipage
+     concurrently; the diffs merge at the home with no ping-pong *)
+  let a = ref 0.0 and b = ref 0.0 in
+  let dsm =
+    rc_scenario ~hosts:3 ~chunking:(Mp_multiview.Allocator.Fine 2) (fun dsm ->
+        let x = Dsm.malloc dsm 64 in
+        let y = Dsm.malloc dsm 64 in
+        Dsm.spawn dsm ~host:1 (fun ctx ->
+            Dsm.write_f64 ctx x 1.25;
+            Dsm.barrier ctx;
+            Dsm.barrier ctx;
+            a := Dsm.read_f64 ctx x;
+            b := Dsm.read_f64 ctx y);
+        Dsm.spawn dsm ~host:2 (fun ctx ->
+            Dsm.write_f64 ctx y 2.25;
+            Dsm.barrier ctx;
+            Dsm.barrier ctx))
+  in
+  Alcotest.(check (float 0.0)) "own write survives merge" 1.25 !a;
+  Alcotest.(check (float 0.0)) "other's write merged" 2.25 !b;
+  Alcotest.(check bool) "two diffs" true (counter dsm "rc.diffs" >= 2)
+
+let test_rc_diff_scales_with_minipage () =
+  (* small minipages mean small diffs on the wire *)
+  let dsm =
+    rc_scenario (fun dsm ->
+        let x = Dsm.malloc dsm 64 in
+        Dsm.spawn dsm ~host:1 (fun ctx ->
+            Dsm.write_f64 ctx x 9.0;
+            Dsm.barrier ctx);
+        Dsm.spawn dsm ~host:0 (fun ctx -> Dsm.barrier ctx))
+  in
+  let bytes = counter dsm "rc.diff_bytes" in
+  Alcotest.(check bool) (Printf.sprintf "tiny diff (%d B) for a tiny minipage" bytes) true
+    (bytes > 0 && bytes < 32)
+
+let test_rc_lock_counter () =
+  let hosts = 3 and per_host = 10 in
+  let final = ref 0 in
+  ignore
+    (rc_scenario ~hosts (fun dsm ->
+         let c = Dsm.malloc dsm 64 in
+         Dsm.init_write_int dsm c 0;
+         for h = 0 to hosts - 1 do
+           Dsm.spawn dsm ~host:h (fun ctx ->
+               for _ = 1 to per_host do
+                 Dsm.lock ctx 0;
+                 Dsm.write_int ctx c (Dsm.read_int ctx c + 1);
+                 Dsm.unlock ctx 0
+               done;
+               Dsm.barrier ctx;
+               if Dsm.host ctx = 0 then final := Dsm.read_int ctx c)
+         done));
+  Alcotest.(check int) "no lost updates" (hosts * per_host) !final
+
+module Water_m = Mp_apps.Water.Make (Mp_dsm.Millipage_impl)
+module Sor_m = Mp_apps.Sor.Make (Mp_dsm.Millipage_impl)
+
+let test_rc_water_chunked () =
+  let h = ref None in
+  ignore
+    (rc_scenario ~hosts:4 ~chunking:(Mp_multiview.Allocator.Fine 6) (fun dsm ->
+         h :=
+           Some
+             (Water_m.setup dsm
+                { Mp_apps.Water.default_params with molecules = 36; iterations = 2 })));
+  Alcotest.(check bool) "water verifies at chunking 6" true
+    (Water_m.verify (Option.get !h))
+
+let test_rc_sor () =
+  let h = ref None in
+  ignore
+    (rc_scenario ~hosts:4 (fun dsm ->
+         h :=
+           Some
+             (Sor_m.setup dsm { Mp_apps.Sor.default_params with rows = 64; iterations = 3 })));
+  Alcotest.(check bool) "sor verifies" true (Sor_m.verify (Option.get !h))
 
 (* ---------------- the governor ----------------------------------------- *)
 
@@ -332,6 +471,15 @@ let suite =
     Alcotest.test_case "rc multi-writer path" `Quick test_rc_multi_writer;
     Alcotest.test_case "rc beats sc on false sharing" `Quick
       test_rc_beats_sc_on_false_sharing;
+    Alcotest.test_case "rc read from home" `Quick test_rc_read_from_home;
+    Alcotest.test_case "rc local writes" `Quick test_rc_local_writes;
+    Alcotest.test_case "rc barrier propagates" `Quick test_rc_barrier_propagates;
+    Alcotest.test_case "rc multi-writer chunk" `Quick test_rc_multi_writer_chunk;
+    Alcotest.test_case "rc diff scales with minipage" `Quick
+      test_rc_diff_scales_with_minipage;
+    Alcotest.test_case "rc lock counter" `Quick test_rc_lock_counter;
+    Alcotest.test_case "rc water at chunking 6" `Quick test_rc_water_chunked;
+    Alcotest.test_case "rc sor" `Quick test_rc_sor;
     Alcotest.test_case "switches only at sync points" `Quick
       test_switch_only_at_sync_points;
     Alcotest.test_case "adaptive promotes then demotes" `Quick

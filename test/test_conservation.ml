@@ -1,5 +1,5 @@
 (* Conservation: quantities counted on different paths must agree.  Every
-   app runs at 4 hosts under SC and adaptive consistency, on a reliable and
+   app runs at 4 hosts under SC, RC and adaptive consistency, on a reliable and
    on a lossy fabric, with the recorder on and a ring large enough to keep
    every event; the instance's counter table, the event stream, the
    recorder's metrics and the profiler then have to tell the same story. *)
@@ -38,7 +38,7 @@ let nets =
     ("drop 0.05", { Mp_net.Fabric.no_faults with drop = 0.05 });
   ]
 
-let modes = [ `Sc; `Adaptive ]
+let modes = [ `Sc; `Rc; `Adaptive ]
 
 let check_cell (app, setup) (net, faults) mode =
   let cell =

@@ -13,7 +13,6 @@ let () =
       ("baselines", Test_baselines.suite);
       ("apps", Test_apps.suite);
       ("gms", Test_gms.suite);
-      ("mrc", Test_mrc.suite);
       ("coherence", Test_coherence.suite);
       ("errors", Test_errors.suite);
       ("tab", Test_tab.suite);

@@ -83,6 +83,19 @@ module type DSM = Mp_dsm.Dsm_intf.S
 
 let check_app name ok = Alcotest.(check bool) name true ok
 
+(* §5's relaxed consistency on minipages: Millipage's own multi-writer RC
+   path with the directory sharded round-robin over the hosts *)
+let rc_on_minipages ~hosts =
+  let config =
+    {
+      Mp_millipage.Dsm.Config.default with
+      polling = Mp_net.Polling.Fast;
+      consistency = Mp_millipage.Dsm.Config.Consistency.rc;
+      homes = Mp_millipage.Dsm.Config.Homes.round_robin;
+    }
+  in
+  Mp_millipage.Dsm.create (Engine.create ()) ~hosts ~config ()
+
 let test_is_on_all_systems () =
   let p = { Mp_apps.Is.default_params with keys = 2048; iterations = 2; max_key = 64 } in
   let hosts = 4 in
@@ -92,12 +105,11 @@ let test_is_on_all_systems () =
    let h = A.setup t p in
    Mp_baselines.Lrc.run t;
    check_app "is on lrc" (A.verify ~hosts h));
-  (let e = Engine.create () in
-   let t = Mp_baselines.Mrc.create e ~hosts ~polling:Mp_net.Polling.Fast () in
-   let module A = Mp_apps.Is.Make (Mp_baselines.Mrc) in
+  (let t = rc_on_minipages ~hosts in
+   let module A = Mp_apps.Is.Make (Mp_dsm.Millipage_impl) in
    let h = A.setup t p in
-   Mp_baselines.Mrc.run t;
-   check_app "is on mrc" (A.verify ~hosts h));
+   Mp_millipage.Dsm.run t;
+   check_app "is on millipage rc" (A.verify ~hosts h));
   let e = Engine.create () in
   let t = Mp_baselines.Ivy.create e ~hosts ~polling:Mp_net.Polling.Fast () in
   let module A = Mp_apps.Is.Make (Mp_baselines.Ivy) in
@@ -105,14 +117,13 @@ let test_is_on_all_systems () =
   Mp_baselines.Ivy.run t;
   check_app "is on ivy" (A.verify ~hosts h)
 
-let test_tsp_on_mrc_and_ivy () =
+let test_tsp_on_rc_and_ivy () =
   let p = { Mp_apps.Tsp.default_params with cities = 8; level = 3 } in
-  (let e = Engine.create () in
-   let t = Mp_baselines.Mrc.create e ~hosts:3 ~polling:Mp_net.Polling.Fast () in
-   let module A = Mp_apps.Tsp.Make (Mp_baselines.Mrc) in
+  (let t = rc_on_minipages ~hosts:3 in
+   let module A = Mp_apps.Tsp.Make (Mp_dsm.Millipage_impl) in
    let h = A.setup t p in
-   Mp_baselines.Mrc.run t;
-   check_app "tsp on mrc" (A.verify h));
+   Mp_millipage.Dsm.run t;
+   check_app "tsp on millipage rc" (A.verify h));
   let e = Engine.create () in
   let t = Mp_baselines.Ivy.create e ~hosts:3 ~polling:Mp_net.Polling.Fast () in
   let module A = Mp_apps.Tsp.Make (Mp_baselines.Ivy) in
@@ -150,8 +161,8 @@ let suite =
     QCheck_alcotest.to_alcotest qcheck_fabric_fifo;
     QCheck_alcotest.to_alcotest qcheck_engine_time_order;
     QCheck_alcotest.to_alcotest qcheck_gms_integrity;
-    Alcotest.test_case "is on lrc/mrc/ivy" `Quick test_is_on_all_systems;
-    Alcotest.test_case "tsp on mrc/ivy" `Quick test_tsp_on_mrc_and_ivy;
+    Alcotest.test_case "is on lrc/rc/ivy" `Quick test_is_on_all_systems;
+    Alcotest.test_case "tsp on rc/ivy" `Quick test_tsp_on_rc_and_ivy;
     Alcotest.test_case "lu on lrc" `Quick test_lu_on_lrc;
     Alcotest.test_case "water composed on millipage" `Quick test_water_composed_on_millipage;
   ]
