@@ -2,7 +2,8 @@
 
     A memory object is a page-aligned region of physical memory that views
     (see {!Vm}) map into virtual address spaces.  Each simulated host owns one
-    memory object holding its copy of the DSM shared region. *)
+    memory object holding its copy of the DSM shared region.  Its memory is
+    sparse ({!Phys_mem}): a page costs storage only once it is written. *)
 
 type t
 

@@ -1,12 +1,20 @@
-(** Raw physical memory: a flat byte array with typed accessors.
+(** Raw physical memory: a byte region with typed accessors.
 
     All offsets are byte offsets from the start of the region.  Out-of-range
-    access raises [Invalid_argument]. *)
+    access raises [Invalid_argument].
+
+    The region is sparse.  It is held as 4 KB chunks, and a chunk gets bytes
+    of its own only on its first write (filling it with ['\000'] is not a
+    write); until then it reads as zeros and costs one pointer.  Regions never
+    share written bytes.  An access of up to 8 bytes within one chunk is one
+    lookup; longer accesses and the bulk operations go chunk by chunk. *)
 
 type t
 
 val create : int -> t
-(** Zero-filled region of the given size in bytes. *)
+(** Zero-filled region of the given size in bytes.  Untouched chunks read as
+    zeros and allocate nothing, so the cost is one word per 4 KB until pages
+    are written. *)
 
 val size : t -> int
 
@@ -28,6 +36,8 @@ val get_int : t -> int -> int
 val set_int : t -> int -> int -> unit
 
 val blit : src:t -> src_off:int -> dst:t -> dst_off:int -> len:int -> unit
+(** Overlapping ranges of one region copy as [memmove] does. *)
+
 val read_bytes : t -> off:int -> len:int -> bytes
 val write_bytes : t -> off:int -> bytes -> unit
 val fill : t -> off:int -> len:int -> char -> unit

@@ -1,6 +1,9 @@
 open Mp_util
 
-type view = { base : int; prot : Prot.t array; fixed : bool }
+(* Protections are one byte per vpage (see [code]).  Views mapped with the
+   same initial protection share one array until a [protect] first changes an
+   entry of theirs, which copies it. *)
+type view = { base : int; mutable prot : bytes; mutable shared : bool; fixed : bool }
 
 type t = {
   obj : Memobject.t;
@@ -10,6 +13,7 @@ type t = {
   stride : int;  (* distance between consecutive view bases *)
   first_base : int;
   mutable handler : (fault -> unit) option;
+  mutable shared_prots : (Prot.t * bytes) list;  (* by initial protection *)
   read_faults : Stats.Counters.counter;
   write_faults : Stats.Counters.counter;
 }
@@ -21,6 +25,12 @@ exception Fault_storm of fault
 exception Bad_address of int
 
 let max_fault_retries = 64
+
+(* A vpage's protection byte is [code p]; access [a] is allowed when the byte
+   is at least [need a]. *)
+let code = function Prot.No_access -> '\000' | Read_only -> '\001' | Read_write -> '\002'
+let decode = function '\000' -> Prot.No_access | '\001' -> Read_only | _ -> Read_write
+let need = function Prot.Read -> 1 | Write -> 2
 
 let create ~counters obj =
   let page_size = Memobject.page_size obj in
@@ -34,6 +44,7 @@ let create ~counters obj =
     stride = size + page_size;
     first_base = page_size;
     handler = None;
+    shared_prots = [];
     read_faults = Stats.Counters.counter counters "fault.read";
     write_faults = Stats.Counters.counter counters "fault.write";
   }
@@ -46,7 +57,15 @@ let vpages_per_view t = t.vpages
 let map_view ?(fixed = false) t initial =
   let index = Array.length t.views in
   let base = t.first_base + (index * t.stride) in
-  let view = { base; prot = Array.make t.vpages initial; fixed } in
+  let prot =
+    match List.assoc_opt initial t.shared_prots with
+    | Some prot -> prot
+    | None ->
+      let prot = Bytes.make t.vpages (code initial) in
+      t.shared_prots <- (initial, prot) :: t.shared_prots;
+      prot
+  in
+  let view = { base; prot; shared = true; fixed } in
   t.views <- Array.append t.views [| view |];
   index
 
@@ -62,19 +81,31 @@ let address t ~view:i off =
   if off < 0 || off >= view_size t then invalid_arg "Vm.address: offset out of range";
   (view t i).base + off
 
-let translate t addr =
+(* [addr]'s distance from the first view's base: view [rel / stride] at
+   physical offset [rel mod stride].  Raises [Bad_address] outside every view. *)
+let locate t addr =
   let rel = addr - t.first_base in
-  if rel < 0 then raise (Bad_address addr);
-  let idx = rel / t.stride in
+  if rel < 0 || rel / t.stride >= Array.length t.views || rel mod t.stride >= view_size t
+  then raise (Bad_address addr);
+  rel
+
+let translate t addr =
+  let rel = locate t addr in
   let off = rel mod t.stride in
-  if idx >= Array.length t.views || off >= view_size t then raise (Bad_address addr);
-  (idx, off / t.page_size, off)
+  (rel / t.stride, off / t.page_size, off)
 
 let protect t ~view:i ~vpage prot =
   let v = view t i in
   if v.fixed then invalid_arg "Vm.protect: view protection is fixed";
   if vpage < 0 || vpage >= t.vpages then invalid_arg "Vm.protect: bad vpage";
-  v.prot.(vpage) <- prot
+  let c = code prot in
+  if Bytes.get v.prot vpage <> c then begin
+    if v.shared then begin
+      v.prot <- Bytes.copy v.prot;
+      v.shared <- false
+    end;
+    Bytes.set v.prot vpage c
+  end
 
 let protect_range t ~view:i ~phys_off ~len prot =
   if len <= 0 then invalid_arg "Vm.protect_range: non-positive length";
@@ -86,7 +117,7 @@ let protect_range t ~view:i ~phys_off ~len prot =
 
 let protection t ~view:i ~vpage =
   if vpage < 0 || vpage >= t.vpages then invalid_arg "Vm.protection: bad vpage";
-  (view t i).prot.(vpage)
+  decode (Bytes.get (view t i).prot vpage)
 
 let protection_at t addr =
   let idx, vpage, _ = translate t addr in
@@ -94,40 +125,40 @@ let protection_at t addr =
 
 let set_fault_handler t handler = t.handler <- Some handler
 
-(* Check that every vpage covered by [addr, addr+len) allows [access]; on a
-   violation call the handler and retry, as the hardware would re-execute the
-   faulting instruction. *)
+(* The first vpage in [first, last] whose protection byte is below [need],
+   or -1. *)
+let rec first_fault prot vp last need =
+  if vp > last then -1
+  else if Char.code (Bytes.get prot vp) < need then vp
+  else first_fault prot (vp + 1) last need
+
+(* While some vpage in [first, last] denies the access, call the handler and
+   retry, as the hardware would re-execute the faulting instruction. *)
+let rec fault_and_retry t ~addr ~access ~idx (v : view) ~first ~last ~need n =
+  let vp = first_fault v.prot first last need in
+  if vp >= 0 then begin
+    let fault = { addr; access; view = idx; vpage = vp; phys_off = vp * t.page_size } in
+    Stats.Counters.incr
+      (match access with Prot.Read -> t.read_faults | Prot.Write -> t.write_faults);
+    (match t.handler with
+    | None -> raise (Access_violation fault)
+    | Some h ->
+      if n >= max_fault_retries then raise (Fault_storm fault);
+      h fault);
+    fault_and_retry t ~addr ~access ~idx v ~first ~last ~need (n + 1)
+  end
+
+(* Check that every vpage covered by [addr, addr+len) allows [access] and
+   return the physical offset.  An access that does not fault allocates
+   nothing. *)
 let ensure_access t addr len access =
-  let idx, _, phys_off = translate t addr in
-  let v = view t idx in
+  let rel = locate t addr in
+  let idx = rel / t.stride and phys_off = rel mod t.stride in
+  let v = Array.unsafe_get t.views idx in
   let first = phys_off / t.page_size in
   let last = (phys_off + len - 1) / t.page_size in
   if last >= t.vpages then raise (Bad_address (addr + len - 1));
-  let faulting_vpage () =
-    let rec go vp =
-      if vp > last then None
-      else if not (Prot.allows v.prot.(vp) access) then Some vp
-      else go (vp + 1)
-    in
-    go first
-  in
-  let rec retry n =
-    match faulting_vpage () with
-    | None -> ()
-    | Some vp ->
-      let fault =
-        { addr; access; view = idx; vpage = vp; phys_off = vp * t.page_size }
-      in
-      Stats.Counters.incr
-        (match access with Prot.Read -> t.read_faults | Prot.Write -> t.write_faults);
-      (match t.handler with
-      | None -> raise (Access_violation fault)
-      | Some h ->
-        if n >= max_fault_retries then raise (Fault_storm fault);
-        h fault);
-      retry (n + 1)
-  in
-  retry 0;
+  fault_and_retry t ~addr ~access ~idx v ~first ~last ~need:(need access) 0;
   phys_off
 
 let mem t = Memobject.mem t.obj

@@ -40,7 +40,13 @@ val map_view : ?fixed:bool -> t -> Prot.t -> int
 (** Map a new view of the whole memory object with the given initial
     protection on all vpages; returns the view index.  [fixed] (default
     false) marks the view's protection immutable — used for the privileged
-    view ({!map_privileged_view}). *)
+    view ({!map_privileged_view}).
+
+    Protections take one byte per vpage.  Views of one address space mapped
+    with the same initial protection share those bytes until the first
+    {!protect} that changes an entry of a view, which gives that view its
+    own copy; mapping a view therefore allocates nothing after the first of
+    its kind. *)
 
 val map_privileged_view : t -> int
 (** [map_view ~fixed:true t Read_write]. *)

@@ -290,12 +290,205 @@ let test_max_views_va_limit () =
   let n = Overhead_model.max_views_for ~array_bytes:(16 * 1024 * 1024) () in
   Alcotest.(check bool) "~104 views for 16MB" true (n >= 90 && n <= 110)
 
+(* The reference model for [Phys_mem]: the flat zero-filled byte array it
+   was before it became sparse. *)
+module Flat = struct
+  let create size = Bytes.make size '\000'
+
+  let check t off len =
+    if off < 0 || len < 0 || off + len > Bytes.length t then invalid_arg "Flat"
+end
+
+type mem_op =
+  | Set of int * int * int * int64  (* region, width (0..4), offset, value *)
+  | Get of int * int * int
+  | Write of int * int * string
+  | Read of int * int * int
+  | Blit of int * int * int * int * int  (* src, src_off, dst, dst_off, len *)
+  | Fill of int * int * int * char
+
+(* three chunks and a ragged tail, so accesses straddle chunk boundaries and
+   the end of the region *)
+let region_size = (3 * 4096) + 100
+let widths = [| 1; 4; 8; 8; 8 |]  (* u8, i32, i64, f64, int *)
+
+let pp_mem_op = function
+  | Set (r, w, o, v) -> Printf.sprintf "Set(r%d,w%d,%d,%Ld)" r w o v
+  | Get (r, w, o) -> Printf.sprintf "Get(r%d,w%d,%d)" r w o
+  | Write (r, o, s) -> Printf.sprintf "Write(r%d,%d,len %d)" r o (String.length s)
+  | Read (r, o, l) -> Printf.sprintf "Read(r%d,%d,%d)" r o l
+  | Blit (s, so, d, dof, l) -> Printf.sprintf "Blit(r%d,%d -> r%d,%d,%d)" s so d dof l
+  | Fill (r, o, l, c) -> Printf.sprintf "Fill(r%d,%d,%d,%C)" r o l c
+
+let gen_mem_op =
+  let open QCheck.Gen in
+  (* offsets cluster at chunk boundaries half the time; a few run past the
+     end, to check that both sides reject the same accesses *)
+  let off =
+    oneof
+      [
+        int_bound (region_size + 8);
+        map2 (fun k d -> max 0 ((k * 4096) + d)) (int_range 1 3) (int_range (-9) 9);
+      ]
+  in
+  let len = oneof [ int_bound 16; int_bound 9000 ] in
+  let region = int_bound 1 in
+  frequency
+    [
+      (4, map4 (fun r w o v -> Set (r, w, o, v)) region (int_bound 4) off ui64);
+      (2, map3 (fun r w o -> Get (r, w, o)) region (int_bound 4) off);
+      (1, map3 (fun r o s -> Write (r, o, s)) region off (string_size ~gen:printable len));
+      (1, map3 (fun r o l -> Read (r, o, l)) region off len);
+      ( 2,
+        map3
+          (fun (s, d) (so, dof) l -> Blit (s, so, d, dof, l))
+          (pair region region) (pair off off) len );
+      (1, map4 (fun r o l c -> Fill (r, o, l, c)) region off len (oneofl [ '\000'; 'x' ]));
+    ]
+
+(* Apply [op] to both models; true when they agree on the result, on
+   whether the access was rejected, and on the contents of both regions. *)
+let step sparse flat op =
+  let rejected f = try Ok (f ()) with Invalid_argument _ -> Error () in
+  let same f g = rejected f = rejected g in
+  let agree =
+    match op with
+    | Set (r, w, o, v) ->
+      same
+        (fun () ->
+          let m = sparse.(r) in
+          match w with
+          | 0 -> Phys_mem.set_u8 m o (Int64.to_int v)
+          | 1 -> Phys_mem.set_i32 m o (Int64.to_int32 v)
+          | 2 -> Phys_mem.set_i64 m o v
+          | 3 -> Phys_mem.set_f64 m o (Int64.float_of_bits v)
+          | _ -> Phys_mem.set_int m o (Int64.to_int v))
+        (fun () ->
+          let m = flat.(r) in
+          Flat.check m o widths.(w);
+          match w with
+          | 0 -> Bytes.set m o (Char.chr (Int64.to_int v land 0xFF))
+          | 1 -> Bytes.set_int32_le m o (Int64.to_int32 v)
+          | 2 | 3 -> Bytes.set_int64_le m o v
+          | _ -> Bytes.set_int64_le m o (Int64.of_int (Int64.to_int v)))
+    | Get (r, w, o) ->
+      same
+        (fun () ->
+          let m = sparse.(r) in
+          match w with
+          | 0 -> Int64.of_int (Phys_mem.get_u8 m o)
+          | 1 -> Int64.of_int32 (Phys_mem.get_i32 m o)
+          | 2 -> Phys_mem.get_i64 m o
+          | 3 -> Int64.bits_of_float (Phys_mem.get_f64 m o)
+          | _ -> Int64.of_int (Phys_mem.get_int m o))
+        (fun () ->
+          let m = flat.(r) in
+          Flat.check m o widths.(w);
+          match w with
+          | 0 -> Int64.of_int (Char.code (Bytes.get m o))
+          | 1 -> Int64.of_int32 (Bytes.get_int32_le m o)
+          | 2 | 3 -> Bytes.get_int64_le m o
+          | _ -> Int64.of_int (Int64.to_int (Bytes.get_int64_le m o)))
+    | Write (r, o, str) ->
+      let b = Bytes.of_string str in
+      same
+        (fun () -> Phys_mem.write_bytes sparse.(r) ~off:o b)
+        (fun () ->
+          Flat.check flat.(r) o (Bytes.length b);
+          Bytes.blit b 0 flat.(r) o (Bytes.length b))
+    | Read (r, o, l) ->
+      same
+        (fun () -> Phys_mem.read_bytes sparse.(r) ~off:o ~len:l)
+        (fun () ->
+          Flat.check flat.(r) o l;
+          Bytes.sub flat.(r) o l)
+    | Blit (src, so, dst, dof, l) ->
+      same
+        (fun () ->
+          Phys_mem.blit ~src:sparse.(src) ~src_off:so ~dst:sparse.(dst) ~dst_off:dof ~len:l)
+        (fun () ->
+          Flat.check flat.(src) so l;
+          Flat.check flat.(dst) dof l;
+          Bytes.blit flat.(src) so flat.(dst) dof l)
+    | Fill (r, o, l, c) ->
+      same
+        (fun () -> Phys_mem.fill sparse.(r) ~off:o ~len:l c)
+        (fun () ->
+          Flat.check flat.(r) o l;
+          Bytes.fill flat.(r) o l c)
+  in
+  agree
+  && Array.for_all2
+       (fun m b -> Bytes.equal (Phys_mem.read_bytes m ~off:0 ~len:region_size) b)
+       sparse flat
+
+let qcheck_sparse_matches_flat =
+  QCheck.Test.make ~name:"sparse phys mem matches a flat byte array" ~count:300
+    (QCheck.make
+       ~print:(QCheck.Print.list pp_mem_op)
+       QCheck.Gen.(list_size (int_range 1 40) gen_mem_op))
+    (fun ops ->
+      let sparse = Array.init 2 (fun _ -> Phys_mem.create region_size) in
+      let flat = Array.init 2 (fun _ -> Flat.create region_size) in
+      List.for_all (step sparse flat) ops
+      (* a region made afterwards still reads as zeros: no write ever
+         reached the chunk untouched regions share *)
+      && Bytes.equal
+           (Phys_mem.read_bytes (Phys_mem.create region_size) ~off:0 ~len:region_size)
+           (Flat.create region_size))
+
+let test_phys_mem_untouched_fill () =
+  let m = Phys_mem.create 8192 in
+  let before = Gc.allocated_bytes () in
+  Phys_mem.fill m ~off:0 ~len:8192 '\000';
+  Alcotest.(check bool) "zeroing untouched chunks allocates none" true
+    (Gc.allocated_bytes () -. before < 4096.0);
+  Phys_mem.fill m ~off:4090 ~len:10 'z';
+  Alcotest.(check string) "straddling fill" "zzzzzzzzzz"
+    (Bytes.to_string (Phys_mem.read_bytes m ~off:4090 ~len:10));
+  Alcotest.(check int) "zeros around it" 0 (Phys_mem.get_u8 m 4089 + Phys_mem.get_u8 m 4100);
+  Alcotest.(check string) "bounds message unchanged"
+    "Phys_mem: access [8190, 8198) outside region of 8192 bytes"
+    (try
+       ignore (Phys_mem.get_i64 m 8190);
+       ""
+     with Invalid_argument msg -> msg)
+
+(* Views mapped with the same initial protection share it until one is
+   protected; the copy must leave every other view as it was. *)
+let test_shared_protection_copied_on_protect () =
+  let vm = mk_vm () in
+  let v1 = Vm.map_view vm Prot.No_access in
+  let v2 = Vm.map_view vm Prot.No_access in
+  let faults view =
+    try
+      ignore (Vm.read_u8 vm (Vm.address vm ~view 0));
+      false
+    with Vm.Access_violation _ -> true
+  in
+  Vm.protect vm ~view:v1 ~vpage:0 Prot.Read_write;
+  Alcotest.(check bool) "view 1 readable" false (faults v1);
+  Alcotest.(check bool) "view 2 still faults" true (faults v2);
+  Vm.protect vm ~view:v2 ~vpage:0 Prot.Read_only;
+  Vm.protect vm ~view:v2 ~vpage:1 Prot.Read_write;
+  Alcotest.(check check_prot) "view 1 page 0 as set" Prot.Read_write
+    (Vm.protection vm ~view:v1 ~vpage:0);
+  Alcotest.(check check_prot) "view 1 page 1 untouched" Prot.No_access
+    (Vm.protection vm ~view:v1 ~vpage:1);
+  Alcotest.(check check_prot) "view 2 page 0" Prot.Read_only (Vm.protection vm ~view:v2 ~vpage:0);
+  (* a view mapped after both copies starts from the initial value *)
+  let v3 = Vm.map_view vm Prot.No_access in
+  Alcotest.(check bool) "view 3 faults" true (faults v3);
+  Alcotest.(check check_prot) "view 3 page 1" Prot.No_access (Vm.protection vm ~view:v3 ~vpage:1)
+
 let suite =
   [
     Alcotest.test_case "prot allows" `Quick test_prot_allows;
     Alcotest.test_case "phys mem roundtrip" `Quick test_phys_mem_typed_roundtrip;
     Alcotest.test_case "phys mem bounds" `Quick test_phys_mem_bounds;
     Alcotest.test_case "phys mem blit" `Quick test_phys_mem_blit;
+    QCheck_alcotest.to_alcotest qcheck_sparse_matches_flat;
+    Alcotest.test_case "phys mem untouched fill" `Quick test_phys_mem_untouched_fill;
     Alcotest.test_case "memobject rounding" `Quick test_memobject_rounding;
     Alcotest.test_case "views disjoint" `Quick test_views_disjoint_bases;
     Alcotest.test_case "views alias memory" `Quick test_views_alias_same_memory;
@@ -307,6 +500,8 @@ let suite =
     Alcotest.test_case "privileged view fixed" `Quick test_privileged_view_fixed;
     Alcotest.test_case "privileged bypass" `Quick test_privileged_access_bypasses_protection;
     Alcotest.test_case "protect range" `Quick test_protect_range;
+    Alcotest.test_case "shared protection copied" `Quick
+      test_shared_protection_copied_on_protect;
     Alcotest.test_case "cache basic" `Quick suite_cache;
     Alcotest.test_case "cache lru" `Quick test_cache_lru_eviction;
     Alcotest.test_case "cache capacity" `Quick test_cache_capacity;

@@ -407,6 +407,19 @@ let test_one_counter_table () =
   Alcotest.(check int) "read_faults reads the table" (entry "fault.read")
     (Dsm.read_faults dsm)
 
+(* Host memory is sparse: a host pays for the pages it writes, not for the
+   16 MB object it maps.  Zero-filling every object (about 17 MB a host with
+   its view protections) would allocate over 2 GB here. *)
+let test_create_footprint () =
+  let e = Engine.create () in
+  let before = Gc.allocated_bytes () in
+  let dsm = Dsm.create e ~hosts:128 ~config:Dsm.Config.default () in
+  let mb = (Gc.allocated_bytes () -. before) /. 1048576.0 in
+  ignore (Sys.opaque_identity dsm);
+  Alcotest.(check bool)
+    (Printf.sprintf "128 hosts allocate %.1f MB < 64 MB" mb)
+    true (mb < 64.0)
+
 let suite =
   [
     Alcotest.test_case "read sharing" `Quick test_read_sharing;
@@ -432,4 +445,5 @@ let suite =
     Alcotest.test_case "wrong view rejected" `Quick test_wrong_view_access_rejected;
     Alcotest.test_case "many minipages stress" `Quick test_many_minipages_stress;
     Alcotest.test_case "one counter table" `Quick test_one_counter_table;
+    Alcotest.test_case "create footprint" `Quick test_create_footprint;
   ]
