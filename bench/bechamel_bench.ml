@@ -12,7 +12,7 @@ let test_prng =
 
 let test_cache =
   let c =
-    Mp_memsim.Cache.create ~name:"bench" ~size_bytes:(512 * 1024) ~line_bytes:32 ~assoc:4
+    Mp_memsim.Cache.create ~size_bytes:(512 * 1024) ~line_bytes:32 ~assoc:4
   in
   let i = ref 0 in
   Test.make ~name:"cache access"

@@ -201,7 +201,8 @@ let rc_on_minipages () =
         let e = Engine.create () in
         let config =
           {
-            (Dsm.Config.with_chunking Dsm.Config.default chunking) with
+            Dsm.Config.default with
+            chunking;
             consistency = Dsm.Config.Consistency.rc;
             homes = Dsm.Config.Homes.round_robin;
           }

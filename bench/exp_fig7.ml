@@ -62,8 +62,9 @@ let run ?(molecules = 512) ?(iterations = 3) () =
         :: !chart_series)
     [ 4; 8 ];
   print_newline ();
-  Tab.print_chart ~y_label:"efficiency (x = chunking level; 7 = none)"
-    ~series:(List.rev !chart_series) ();
+  print_string
+    (Tab.chart ~y_label:"efficiency (x = chunking level; 7 = none)"
+       ~series:(List.rev !chart_series) ());
   Harness.note
     "paper: competing requests grow with the chunking level (21 unchunked -> 601 at 'none'),";
   Harness.note

@@ -433,7 +433,7 @@ let execute app system hosts chunking polling paper trace_out perfetto metrics
           net = { Mp_millipage.Dsm.Config.Net.default with faults; seed = net_seed };
           ft = ft_config;
           homes = homes_config;
-          consistency = C.with_adapt_interval (C.with_mode C.default consistency) adapt_interval;
+          consistency = { C.default with mode = consistency; adapt_interval };
         }
       in
       (* what Dsm.create still refuses (a crash naming host 0 or a host

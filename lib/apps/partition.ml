@@ -13,4 +13,3 @@ let owner_of ~items ~parts item =
   in
   go 0
 
-let round_robin_owner ~parts item = item mod parts

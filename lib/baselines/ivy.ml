@@ -17,18 +17,13 @@ let create engine ~hosts ?(object_size = 16 * 1024 * 1024)
   in
   Dsm.create engine ~hosts ~config ()
 
-let inner t = t
-
 let name = "ivy"
-let home_of _ ~addr:_ = 0
 let hosts = Dsm.hosts
-let engine = Dsm.engine
 let malloc = Dsm.malloc
 let init_write_f64 = Dsm.init_write_f64
 let init_write_int = Dsm.init_write_int
 let init_write_i32 = Dsm.init_write_i32
 let init_write_f32 = Dsm.init_write_f32
-let init_write_u8 = Dsm.init_write_u8
 let spawn = Dsm.spawn
 let run = Dsm.run
 let host = Dsm.host
@@ -56,10 +51,6 @@ let prefetch ctx addr access =
 let push_to_all = Dsm.push_to_all
 let compose = Dsm.compose
 let fetch_group = Dsm.fetch_group
-
-(* ivy never creates a non-default consistency config, so every page is SC *)
-let mode_of = Dsm.mode_of_mp
-let modes = Dsm.modes
 let messages_sent = Dsm.messages_sent
 let bytes_sent = Dsm.bytes_sent
 let read_faults = Dsm.read_faults

@@ -95,10 +95,8 @@ type ctx = { t : t; hs : host_state; mutable barrier_phase : int }
 
 let manager = 0
 let name = "lrc"
-let home_of _ ~addr:_ = 0
 
 let hosts t = Array.length t.host_states
-let engine t = t.engine
 let home t page = page mod hosts t
 
 let fresh_req t =
@@ -470,9 +468,6 @@ let init_write_i32 t addr v =
 
 let init_write_f32 t addr v = init_write_i32 t addr (Int32.bits_of_float v)
 
-let init_write_u8 t addr v =
-  init_write t addr (fun vm off -> Vm.priv_write_bytes vm ~off (Bytes.make 1 (Char.chr (v land 0xFF))))
-
 let spawn t ~host ?name f =
   if host < 0 || host >= hosts t then invalid_arg "Lrc.spawn: bad host";
   t.total_threads <- t.total_threads + 1;
@@ -639,9 +634,3 @@ let diffs_created t = Stats.Counters.value t.diffs
 let diff_bytes t = Stats.Counters.value t.diff_bytes
 let twins_created t = Stats.Counters.value t.twins
 
-(* every page is served by the twin/diff multi-writer protocol, always *)
-let mode_of _ _ = Mp_millipage.Proto.Rc
-
-let modes t =
-  let allocated = (t.next_off + page_size - 1) / page_size in
-  [ (Mp_millipage.Proto.Sc, 0); (Mp_millipage.Proto.Rc, allocated) ]

@@ -10,13 +10,6 @@ module type S = sig
 
   val name : string
   val hosts : t -> int
-  val engine : t -> Mp_sim.Engine.t
-
-  val home_of : t -> addr:int -> int
-  (** Host running the coherence state machine for the sharing unit holding
-      [addr].  Single-manager systems answer 0 for every address; Millipage
-      answers the minipage's current home under the configured sharding
-      policy. *)
 
   (** {2 Init phase} *)
 
@@ -25,7 +18,6 @@ module type S = sig
   val init_write_int : t -> int -> int -> unit
   val init_write_i32 : t -> int -> int32 -> unit
   val init_write_f32 : t -> int -> float -> unit
-  val init_write_u8 : t -> int -> int -> unit
   val spawn : t -> host:int -> ?name:string -> (ctx -> unit) -> unit
   val run : t -> unit
 
@@ -66,19 +58,6 @@ module type S = sig
   (** Bring read copies of the whole composed view.  On Millipage this is a
       single batched protocol operation; baselines approximate it with
       pipelined per-unit fetches. *)
-
-  (** {2 Consistency modes} *)
-
-  val mode_of : t -> int -> Mp_millipage.Proto.mode
-  (** Consistency protocol currently serving the sharing unit with the given
-      id: {!Mp_millipage.Proto.Sc} (single-writer invalidation) or [Rc]
-      (multi-writer twin/diff release consistency).  Fixed by construction on
-      the single-protocol systems — Ivy answers [Sc], the LRC baseline
-      answers [Rc] — while Millipage's adaptive mode can move a minipage
-      between the two at sync points over the run. *)
-
-  val modes : t -> (Mp_millipage.Proto.mode * int) list
-  (** Census of sharing units by current mode, as [[(Sc, n); (Rc, m)]]. *)
 
   (** {2 Statistics} *)
 

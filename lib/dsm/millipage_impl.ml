@@ -7,14 +7,11 @@ type ctx = Dsm.ctx
 
 let name = "millipage"
 let hosts = Dsm.hosts
-let engine = Dsm.engine
-let home_of = Dsm.home_of
 let malloc = Dsm.malloc
 let init_write_f64 = Dsm.init_write_f64
 let init_write_int = Dsm.init_write_int
 let init_write_i32 = Dsm.init_write_i32
 let init_write_f32 = Dsm.init_write_f32
-let init_write_u8 = Dsm.init_write_u8
 let spawn = Dsm.spawn
 let run = Dsm.run
 let host = Dsm.host
@@ -40,8 +37,6 @@ let prefetch ctx addr access =
 let push_to_all = Dsm.push_to_all
 let compose = Dsm.compose
 let fetch_group = Dsm.fetch_group
-let mode_of = Dsm.mode_of_mp
-let modes = Dsm.modes
 let messages_sent = Dsm.messages_sent
 let bytes_sent = Dsm.bytes_sent
 let read_faults = Dsm.read_faults

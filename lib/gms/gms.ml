@@ -66,8 +66,6 @@ type t = {
 let client = 0
 let header_bytes = 32
 
-let subpages_per_page t = t.subs
-
 let home t page = 1 + (page mod t.servers)
 
 (* ------------------------------------------------------------------ *)
@@ -262,14 +260,6 @@ let view_addr t addr len =
   let last_sub = (addr + len - 1) mod t.config.page_size / t.config.subpage_bytes in
   if sub <> last_sub then invalid_arg "Gms: access straddles a subpage boundary";
   Vm.address t.vm ~view:sub addr
-
-let read_u8 t addr =
-  Engine.delay t.config.access_us;
-  Vm.read_u8 t.vm (view_addr t addr 1)
-
-let write_u8 t addr v =
-  Engine.delay t.config.access_us;
-  Vm.write_u8 t.vm (view_addr t addr 1) v
 
 let read_int t addr =
   Engine.delay t.config.access_us;

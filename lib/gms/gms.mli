@@ -41,12 +41,8 @@ val create :
   Mp_sim.Engine.t -> ?config:Config.t -> servers:int -> unit -> t
 (** [servers] memory hosts plus one client. *)
 
-val subpages_per_page : t -> int
-
 (** {2 Client-thread operations} — call only inside {!spawn_client}. *)
 
-val read_u8 : t -> int -> int
-val write_u8 : t -> int -> int -> unit
 val read_int : t -> int -> int
 val write_int : t -> int -> int -> unit
 

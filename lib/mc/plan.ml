@@ -2,7 +2,6 @@ type t = (int * int) list
 
 let empty = []
 let deviations = List.length
-let max_pos t = List.fold_left (fun acc (p, _) -> max acc p) (-1) t
 let find t ~pos = List.assoc_opt pos t
 let sort t = List.sort (fun (a, _) (b, _) -> compare a b) t
 

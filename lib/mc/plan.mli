@@ -13,8 +13,6 @@ type t = (int * int) list
 
 val empty : t
 val deviations : t -> int
-val max_pos : t -> int
-(** Largest deviated position, [-1] when empty. *)
 
 val find : t -> pos:int -> int option
 val set : t -> pos:int -> pick:int -> t

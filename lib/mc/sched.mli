@@ -48,11 +48,6 @@ val taken : t -> Plan.t
 (** The non-default picks actually taken (= the input plan in [Follow]
     mode once every planned position was reached). *)
 
-val target_host : string -> int option
-(** Parse the last ["h<digits>"] group out of an engine event label —
-    ["net:h0>h2"] targets host 2, ["poll:h1"] host 1, ["resume:app.h3"]
-    host 3.  [None] when the label names no host. *)
-
 val independent : string -> string -> bool
 (** Two same-instant events commute if they run on different hosts: swapping
     them cannot change the reachable state.  Conservative — [false] whenever

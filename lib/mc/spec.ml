@@ -9,16 +9,14 @@ type entry =
   | Release of { host : int; key : int }
   | Barrier of { host : int }
 
-type hist = { mutable entries_rev : entry list; mutable len : int }
+type hist = { mutable entries_rev : entry list }
 
-let hist () = { entries_rev = []; len = 0 }
+let hist () = { entries_rev = [] }
 
 let record h e =
-  h.entries_rev <- e :: h.entries_rev;
-  h.len <- h.len + 1
+  h.entries_rev <- e :: h.entries_rev
 
 let entries h = List.rev h.entries_rev
-let length h = h.len
 
 type mode = Sc | Weak
 

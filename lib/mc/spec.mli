@@ -41,7 +41,6 @@ type hist
 val hist : unit -> hist
 val record : hist -> entry -> unit
 val entries : hist -> entry list
-val length : hist -> int
 
 type mode = Sc | Weak
 

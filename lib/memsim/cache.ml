@@ -1,5 +1,4 @@
 type t = {
-  name : string;
   line_shift : int;
   set_mask : int;
   assoc : int;
@@ -16,7 +15,7 @@ let log2 n =
 
 let is_power_of_two n = n > 0 && n land (n - 1) = 0
 
-let create ~name ~size_bytes ~line_bytes ~assoc =
+let create ~size_bytes ~line_bytes ~assoc =
   if not (is_power_of_two line_bytes) then invalid_arg "Cache.create: line size";
   if assoc <= 0 then invalid_arg "Cache.create: assoc";
   if size_bytes mod (line_bytes * assoc) <> 0 then
@@ -24,7 +23,6 @@ let create ~name ~size_bytes ~line_bytes ~assoc =
   let sets = size_bytes / (line_bytes * assoc) in
   if not (is_power_of_two sets) then invalid_arg "Cache.create: set count";
   {
-    name;
     line_shift = log2 line_bytes;
     set_mask = sets - 1;
     assoc;
@@ -70,8 +68,3 @@ let probe t addr =
 let hits t = t.hits
 let misses t = t.misses
 
-let flush t =
-  Array.fill t.tags 0 (Array.length t.tags) (-1);
-  Array.fill t.stamps 0 (Array.length t.stamps) 0
-
-let name t = t.name

@@ -7,7 +7,7 @@
 
 type t
 
-val create : name:string -> size_bytes:int -> line_bytes:int -> assoc:int -> t
+val create : size_bytes:int -> line_bytes:int -> assoc:int -> t
 (** [size_bytes] must be divisible by [line_bytes * assoc]; both line size
     and the set count must be powers of two. *)
 
@@ -20,5 +20,3 @@ val probe : t -> int -> bool
 
 val hits : t -> int
 val misses : t -> int
-val flush : t -> unit
-val name : t -> string

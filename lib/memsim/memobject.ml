@@ -13,7 +13,3 @@ let mem t = t.mem
 let page_size t = t.page_size
 let pages t = t.pages
 let size t = t.pages * t.page_size
-
-let page_of_offset t off =
-  if off < 0 || off >= size t then invalid_arg "Memobject.page_of_offset: out of range";
-  off / t.page_size

@@ -16,6 +16,3 @@ val page_size : t -> int
 val pages : t -> int
 val size : t -> int
 (** Rounded-up size in bytes. *)
-
-val page_of_offset : t -> int -> int
-(** Physical page index containing the given byte offset. *)

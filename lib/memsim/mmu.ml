@@ -59,8 +59,8 @@ let create ?(params = Params.pentium_ii) () =
   {
     p;
     tlb = Tlb.create ~entries:p.tlb_entries;
-    l1 = Cache.create ~name:"L1" ~size_bytes:p.l1_size ~line_bytes:p.l1_line ~assoc:p.l1_assoc;
-    l2 = Cache.create ~name:"L2" ~size_bytes:p.l2_size ~line_bytes:p.l2_line ~assoc:p.l2_assoc;
+    l1 = Cache.create ~size_bytes:p.l1_size ~line_bytes:p.l1_line ~assoc:p.l1_assoc;
+    l2 = Cache.create ~size_bytes:p.l2_size ~line_bytes:p.l2_line ~assoc:p.l2_assoc;
     active_vpns = Hashtbl.create 4096;
     committed_vpns = 0;
   }
@@ -98,9 +98,3 @@ let cycles_to_us t cycles = cycles /. t.p.mhz
 
 let tlb_misses t = Tlb.misses t.tlb
 let l2_misses t = Cache.misses t.l2
-
-let reset t =
-  Tlb.flush t.tlb;
-  Cache.flush t.l1;
-  Cache.flush t.l2;
-  Hashtbl.reset t.active_vpns

@@ -32,8 +32,6 @@ module Params : sig
     mhz : float;
   }
 
-  val pentium_ii : t
-  (** 4 KB pages, 64-entry TLB, 16 KB L1, 512 KB 4-way L2, 300 MHz. *)
 end
 
 type t
@@ -59,4 +57,3 @@ val cycles_to_us : t -> float -> float
 
 val tlb_misses : t -> int
 val l2_misses : t -> int
-val reset : t -> unit

@@ -14,8 +14,6 @@ let create size =
   if size < 0 then invalid_arg "Phys_mem.create: negative size";
   { size; chunks = Array.make ((size + chunk_mask) lsr chunk_bits) zero }
 
-let size t = t.size
-
 let check t off len =
   if off < 0 || len < 0 || off + len > t.size then
     invalid_arg
@@ -112,19 +110,3 @@ let write_bytes t ~off b =
   let len = Bytes.length b in
   check t off len;
   blit_in t ~off b 0 len
-
-let fill t ~off ~len c =
-  check t off len;
-  pieces off len (fun i coff _ n ->
-      (* zeroing an untouched chunk leaves it untouched *)
-      if not (c = '\000' && t.chunks.(i) == zero) then Bytes.fill (writable t i) coff n c)
-
-let blit ~src ~src_off ~dst ~dst_off ~len =
-  check src src_off len;
-  check dst dst_off len;
-  if src == dst && src_off < dst_off + len && dst_off < src_off + len then
-    (* overlapping ranges of one region: copy out first, as memmove does *)
-    blit_in dst ~off:dst_off (read_bytes src ~off:src_off ~len) 0 len
-  else
-    pieces src_off len (fun i coff pos n ->
-        blit_in dst ~off:(dst_off + pos) src.chunks.(i) coff n)

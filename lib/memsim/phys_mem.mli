@@ -4,10 +4,10 @@
     access raises [Invalid_argument].
 
     The region is sparse.  It is held as 4 KB chunks, and a chunk gets bytes
-    of its own only on its first write (filling it with ['\000'] is not a
-    write); until then it reads as zeros and costs one pointer.  Regions never
-    share written bytes.  An access of up to 8 bytes within one chunk is one
-    lookup; longer accesses and the bulk operations go chunk by chunk. *)
+    of its own only on its first write; until then it reads as zeros and
+    costs one pointer.  Regions never share written bytes.  An access of up
+    to 8 bytes within one chunk is one lookup; longer accesses and the byte
+    strings of {!read_bytes} and {!write_bytes} go chunk by chunk. *)
 
 type t
 
@@ -16,16 +16,11 @@ val create : int -> t
     zeros and allocate nothing, so the cost is one word per 4 KB until pages
     are written. *)
 
-val size : t -> int
-
 val get_u8 : t -> int -> int
 val set_u8 : t -> int -> int -> unit
 
 val get_i32 : t -> int -> int32
 val set_i32 : t -> int -> int32 -> unit
-
-val get_i64 : t -> int -> int64
-val set_i64 : t -> int -> int64 -> unit
 
 val get_f64 : t -> int -> float
 val set_f64 : t -> int -> float -> unit
@@ -35,9 +30,5 @@ val get_int : t -> int -> int
 
 val set_int : t -> int -> int -> unit
 
-val blit : src:t -> src_off:int -> dst:t -> dst_off:int -> len:int -> unit
-(** Overlapping ranges of one region copy as [memmove] does. *)
-
 val read_bytes : t -> off:int -> len:int -> bytes
 val write_bytes : t -> off:int -> bytes -> unit
-val fill : t -> off:int -> len:int -> char -> unit

@@ -13,8 +13,3 @@ let to_string = function
   | No_access -> "NoAccess"
   | Read_only -> "ReadOnly"
   | Read_write -> "ReadWrite"
-
-let access_to_string = function Read -> "read" | Write -> "write"
-
-let pp fmt t = Format.pp_print_string fmt (to_string t)
-let equal (a : t) b = a = b

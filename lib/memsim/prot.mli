@@ -7,7 +7,3 @@ type access = Read | Write
 
 val allows : t -> access -> bool
 val to_string : t -> string
-val access_to_string : access -> string
-
-val pp : Format.formatter -> t -> unit
-val equal : t -> t -> bool

@@ -2,13 +2,12 @@ type t = {
   entries : int;
   table : (int, int) Hashtbl.t;  (* vpn -> stamp *)
   mutable clock : int;
-  mutable hits : int;
   mutable misses : int;
 }
 
 let create ~entries =
   if entries <= 0 then invalid_arg "Tlb.create";
-  { entries; table = Hashtbl.create (2 * entries); clock = 0; hits = 0; misses = 0 }
+  { entries; table = Hashtbl.create (2 * entries); clock = 0; misses = 0 }
 
 let evict_lru t =
   let victim = ref (-1) and best = ref max_int in
@@ -24,7 +23,6 @@ let evict_lru t =
 let access t vpn =
   t.clock <- t.clock + 1;
   if Hashtbl.mem t.table vpn then begin
-    t.hits <- t.hits + 1;
     Hashtbl.replace t.table vpn t.clock;
     true
   end
@@ -35,10 +33,4 @@ let access t vpn =
     false
   end
 
-let hits t = t.hits
 let misses t = t.misses
-
-let flush t =
-  Hashtbl.reset t.table;
-  t.hits <- 0;
-  t.misses <- 0

@@ -10,6 +10,4 @@ val access : t -> int -> bool
 (** [access t vpn] is [true] on a hit; a miss inserts the virtual page
     number, evicting the LRU entry. *)
 
-val hits : t -> int
 val misses : t -> int
-val flush : t -> unit

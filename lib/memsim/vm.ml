@@ -49,11 +49,6 @@ let create ~counters obj =
     write_faults = Stats.Counters.counter counters "fault.write";
   }
 
-let view_count t = Array.length t.views
-let view_size t = Memobject.size t.obj
-let page_size t = t.page_size
-let vpages_per_view t = t.vpages
-
 let map_view ?(fixed = false) t initial =
   let index = Array.length t.views in
   let base = t.first_base + (index * t.stride) in
@@ -78,14 +73,14 @@ let view t i =
 let view_base t i = (view t i).base
 
 let address t ~view:i off =
-  if off < 0 || off >= view_size t then invalid_arg "Vm.address: offset out of range";
+  if off < 0 || off >= Memobject.size t.obj then invalid_arg "Vm.address: offset out of range";
   (view t i).base + off
 
 (* [addr]'s distance from the first view's base: view [rel / stride] at
    physical offset [rel mod stride].  Raises [Bad_address] outside every view. *)
 let locate t addr =
   let rel = addr - t.first_base in
-  if rel < 0 || rel / t.stride >= Array.length t.views || rel mod t.stride >= view_size t
+  if rel < 0 || rel / t.stride >= Array.length t.views || rel mod t.stride >= Memobject.size t.obj
   then raise (Bad_address addr);
   rel
 
@@ -118,10 +113,6 @@ let protect_range t ~view:i ~phys_off ~len prot =
 let protection t ~view:i ~vpage =
   if vpage < 0 || vpage >= t.vpages then invalid_arg "Vm.protection: bad vpage";
   decode (Bytes.get (view t i).prot vpage)
-
-let protection_at t addr =
-  let idx, vpage, _ = translate t addr in
-  protection t ~view:idx ~vpage
 
 let set_fault_handler t handler = t.handler <- Some handler
 
@@ -175,16 +166,5 @@ let write_f64 t addr v = Phys_mem.set_f64 (mem t) (write_access t addr 8) v
 let read_int t addr = Phys_mem.get_int (mem t) (read_access t addr 8)
 let write_int t addr v = Phys_mem.set_int (mem t) (write_access t addr 8) v
 
-let read_bytes t addr len =
-  let off = read_access t addr len in
-  Phys_mem.read_bytes (mem t) ~off ~len
-
-let write_bytes t addr b =
-  let off = write_access t addr (Bytes.length b) in
-  Phys_mem.write_bytes (mem t) ~off b
-
 let priv_read_bytes t ~off ~len = Phys_mem.read_bytes (mem t) ~off ~len
 let priv_write_bytes t ~off b = Phys_mem.write_bytes (mem t) ~off b
-
-let priv_blit_in t ~src ~src_off ~dst_off ~len =
-  Phys_mem.blit ~src ~src_off ~dst:(mem t) ~dst_off ~len

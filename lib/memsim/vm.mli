@@ -51,13 +51,7 @@ val map_view : ?fixed:bool -> t -> Prot.t -> int
 val map_privileged_view : t -> int
 (** [map_view ~fixed:true t Read_write]. *)
 
-val view_count : t -> int
 val view_base : t -> int -> int
-val view_size : t -> int
-(** Bytes spanned by each view (= memory object size). *)
-
-val page_size : t -> int
-val vpages_per_view : t -> int
 
 val address : t -> view:int -> int -> int
 (** [address t ~view phys_off] is the virtual address of physical offset
@@ -74,8 +68,6 @@ val protect_range : t -> view:int -> phys_off:int -> len:int -> Prot.t -> unit
 (** Set protection on every vpage overlapping [\[phys_off, phys_off+len)]. *)
 
 val protection : t -> view:int -> vpage:int -> Prot.t
-val protection_at : t -> int -> Prot.t
-(** Protection of the vpage containing the given virtual address. *)
 
 val set_fault_handler : t -> (fault -> unit) -> unit
 
@@ -89,8 +81,6 @@ val read_f64 : t -> int -> float
 val write_f64 : t -> int -> float -> unit
 val read_int : t -> int -> int
 val write_int : t -> int -> int -> unit
-val read_bytes : t -> int -> int -> bytes
-val write_bytes : t -> int -> bytes -> unit
 
 (** {2 Privileged access (bypasses protection, physical offsets)}
 
@@ -99,4 +89,3 @@ val write_bytes : t -> int -> bytes -> unit
 
 val priv_read_bytes : t -> off:int -> len:int -> bytes
 val priv_write_bytes : t -> off:int -> bytes -> unit
-val priv_blit_in : t -> src:Phys_mem.t -> src_off:int -> dst_off:int -> len:int -> unit

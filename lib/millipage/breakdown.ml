@@ -40,7 +40,3 @@ let fractions t =
     ("write fault", f t.write_fault);
     ("synch", f t.synch);
   ]
-
-let pp fmt t =
-  Format.fprintf fmt "comp=%.0f prefetch=%.0f rf=%.0f wf=%.0f synch=%.0f (us)" t.compute
-    t.prefetch t.read_fault t.write_fault t.synch

@@ -11,7 +11,6 @@ type t = {
 }
 
 val create : unit -> t
-val total : t -> float
 val add : t -> t -> t
 val zero : unit -> t
 
@@ -20,5 +19,3 @@ val to_list : t -> (string * float) list
 
 val fractions : t -> (string * float) list
 (** [(label, share)] rows summing to 1 (all zeros when total is 0). *)
-
-val pp : Format.formatter -> t -> unit

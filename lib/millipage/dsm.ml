@@ -29,17 +29,6 @@ module Config = struct
         rto_backoff = 2.0;
         max_retries = 12;
       }
-
-    let with_faults t faults = { t with faults }
-    let with_seed t seed = { t with seed }
-
-    let with_rto t ?rto_us ?rto_backoff ?max_retries () =
-      {
-        t with
-        rto_us = Option.value ~default:t.rto_us rto_us;
-        rto_backoff = Option.value ~default:t.rto_backoff rto_backoff;
-        max_retries = Option.value ~default:t.max_retries max_retries;
-      }
   end
 
   (* Crash-fault tolerance: injected host failures, the heartbeat failure
@@ -71,9 +60,6 @@ module Config = struct
         stalls = [];
         deadlock_ticks = 500;
       }
-
-    let with_crashes t crashes = { t with crashes }
-    let with_stalls t stalls = { t with stalls }
   end
 
   (* Sharded home-based management: which host runs each minipage's Figure-3
@@ -144,18 +130,6 @@ module Config = struct
     let sc = default
     let rc = { default with mode = `Rc }
     let adaptive = { default with mode = `Adaptive }
-    let with_mode t mode = { t with mode }
-
-    let with_adapt_interval t adapt_interval =
-      if adapt_interval < 1 then invalid_arg "Consistency.with_adapt_interval";
-      { t with adapt_interval }
-
-    let with_hysteresis t ?promote_after ?demote_after () =
-      {
-        t with
-        promote_after = Option.value ~default:t.promote_after promote_after;
-        demote_after = Option.value ~default:t.demote_after demote_after;
-      }
 
     let mode_name = function `Sc -> "sc" | `Rc -> "rc" | `Adaptive -> "adaptive"
 
@@ -195,21 +169,9 @@ module Config = struct
       consistency = Consistency.default;
     }
 
-  (* Builders, so future knobs stop being breaking changes. *)
-  let with_views t views = { t with views }
-  let with_object_size t object_size = { t with object_size }
-  let with_page_size t page_size = { t with page_size }
-  let with_chunking t chunking = { t with chunking }
-  let with_cost t cost = { t with cost }
-  let with_polling t polling = { t with polling }
   let with_seed t seed = { t with seed }
-  let with_net t net = { t with net }
-  let with_faults t faults = { t with net = Net.with_faults t.net faults }
-  let with_net_seed t seed = { t with net = Net.with_seed t.net seed }
-  let with_ft t ft = { t with ft }
-  let with_homes t homes = { t with homes }
-  let with_policy t policy = { t with homes = { t.homes with Homes.policy } }
-  let with_consistency t consistency = { t with consistency }
+  let with_faults t faults = { t with net = { t.net with faults } }
+  let with_net_seed t seed = { t with net = { t.net with seed } }
 end
 
 exception Deadlock of string
@@ -503,7 +465,6 @@ type ctx = { t : t; hs : host_state; tid : int; mutable barrier_phase : int }
 
 let manager = 0
 
-let engine t = t.engine
 let hosts t = Array.length t.host_states
 
 let fresh_req t =
@@ -1382,7 +1343,7 @@ let manager_rc_diff t ~home ~req_id ~from ~mp_id ~epoch ~(diff : Twin_diff.t) =
 let governor_tick t ~home ~phase =
   if adaptive_on t then begin
     let c = t.config.consistency in
-    if (phase + 1) mod max 1 c.Config.Consistency.adapt_interval = 0 then begin
+    if (phase + 1) mod c.Config.Consistency.adapt_interval = 0 then begin
       let entries =
         List.of_seq (Directory.entries t.dirs.(home))
         |> List.sort (fun (a : Directory.entry) b ->
@@ -3177,6 +3138,8 @@ let create engine ~hosts:nhosts ?(config = Config.default) () =
         if at < 0.0 || dur <= 0.0 then invalid_arg "Dsm.create: ft.stalls time")
       ft.stalls);
   if config.homes.Config.Homes.block < 1 then invalid_arg "Dsm.create: homes.block";
+  if config.consistency.Config.Consistency.adapt_interval < 1 then
+    invalid_arg "Dsm.create: consistency.adapt_interval";
   let counters = Stats.Counters.create () in
   let fabric =
     Fabric.create engine ~hosts:nhosts ~counters ~polling:config.polling
@@ -3333,7 +3296,6 @@ let init_write_f64 t addr v = Vm.write_f64 (init_vm t) addr v
 let init_write_int t addr v = Vm.write_int (init_vm t) addr v
 let init_write_i32 t addr v = Vm.write_i32 (init_vm t) addr v
 let init_write_f32 t addr v = Vm.write_i32 (init_vm t) addr (Int32.bits_of_float v)
-let init_write_u8 t addr v = Vm.write_u8 (init_vm t) addr v
 
 let spawn t ~host ?name f =
   if host < 0 || host >= hosts t then invalid_arg "Dsm.spawn: bad host";
@@ -3658,16 +3620,13 @@ let promoted_homes t = hosts_where t.promoted
 (* Adaptive-consistency statistics                                     *)
 (* ------------------------------------------------------------------ *)
 
-let mode_of_mp t mp_id =
-  match Directory.find t.dirs.(home_of_mp t mp_id) ~mp_id with
-  | Some (e : Directory.entry) -> e.mode
-  | None -> Proto.Sc
-
 let mode_of t ~addr =
   let vm = t.host_states.(manager).vm in
   let _, _, off = Vm.translate vm addr in
-  let mp = Mpt.find_exn (Allocator.mpt t.allocator) off in
-  mode_of_mp t mp.Minipage.id
+  let mp_id = (Mpt.find_exn (Allocator.mpt t.allocator) off).Minipage.id in
+  match Directory.find t.dirs.(home_of_mp t mp_id) ~mp_id with
+  | Some (e : Directory.entry) -> e.mode
+  | None -> Proto.Sc
 
 let modes t =
   let sc = ref 0 and rc = ref 0 in

@@ -42,11 +42,6 @@ module Config : sig
     val default : t
     (** No faults; RTO 5 ms ×2 up to 12 retries when enabled. *)
 
-    val with_faults : t -> Mp_net.Fabric.faults -> t
-    val with_seed : t -> int -> t
-
-    val with_rto :
-      t -> ?rto_us:float -> ?rto_backoff:float -> ?max_retries:int -> unit -> t
   end
 
   (** Crash-fault tolerance knobs: injected host crashes/stalls, the
@@ -70,8 +65,6 @@ module Config : sig
     (** 1 ms heartbeats, suspect after 3 ms, declare after 8 ms, no injected
         faults, deadlock after 500 idle ticks. *)
 
-    val with_crashes : t -> (int * float) list -> t
-    val with_stalls : t -> (int * float * float) list -> t
   end
 
   (** Home assignment: which host runs each minipage's directory state
@@ -106,9 +99,6 @@ module Config : sig
     (** Inverse of {!policy_name}; also accepts ["round-robin"] and
         ["first-toucher"]. *)
 
-    val backup_of : hosts:int -> int -> int
-    (** Backup placement: [backup_of ~hosts home] is the host that receives
-        [home]'s directory log — the next host, mod the host count. *)
   end
 
   (** Per-minipage consistency: which protocol serves each minipage, as a
@@ -142,12 +132,6 @@ module Config : sig
     val sc : t
     val rc : t
     val adaptive : t
-    val with_mode : t -> mode -> t
-
-    val with_adapt_interval : t -> int -> t
-    (** Raises [Invalid_argument] below 1. *)
-
-    val with_hysteresis : t -> ?promote_after:int -> ?demote_after:int -> unit -> t
 
     val mode_name : mode -> string
     (** ["sc"], ["rc"], ["adaptive"]. *)
@@ -177,20 +161,12 @@ module Config : sig
       NT-timer polling, no faults, no crash-fault tolerance, central homes,
       pure SC consistency. *)
 
-  val with_views : t -> int -> t
-  val with_object_size : t -> int -> t
-  val with_page_size : t -> int -> t
-  val with_chunking : t -> Mp_multiview.Allocator.chunking -> t
-  val with_cost : t -> Cost_model.t -> t
-  val with_polling : t -> Mp_net.Polling.mode -> t
   val with_seed : t -> int -> t
-  val with_net : t -> Net.t -> t
   val with_faults : t -> Mp_net.Fabric.faults -> t
   val with_net_seed : t -> int -> t
-  val with_ft : t -> Ft.t option -> t
-  val with_homes : t -> Homes.t -> t
-  val with_policy : t -> Homes.policy -> t
-  val with_consistency : t -> Consistency.t -> t
+  (** [with_faults c f] and [with_net_seed c s] set [c.net.faults] and
+      [c.net.seed].  Every other knob is set by record update, e.g.
+      [{ Config.default with homes = Config.Homes.round_robin }]. *)
 end
 
 exception Deadlock of string
@@ -205,7 +181,6 @@ exception Crash_unrecoverable of string
 
 val create : Mp_sim.Engine.t -> hosts:int -> ?config:Config.t -> unit -> t
 
-val engine : t -> Mp_sim.Engine.t
 val hosts : t -> int
 
 val home_of : t -> addr:int -> int
@@ -231,7 +206,6 @@ val init_write_f64 : t -> int -> float -> unit
 val init_write_int : t -> int -> int -> unit
 val init_write_i32 : t -> int -> int32 -> unit
 val init_write_f32 : t -> int -> float -> unit
-val init_write_u8 : t -> int -> int -> unit
 (** Host-0 initialization writes; free of simulated cost. *)
 
 val spawn : t -> host:int -> ?name:string -> (ctx -> unit) -> unit
@@ -383,7 +357,7 @@ val faulty : t -> bool
 
     There is one recovery design: backup promotion.  Every home other than
     host 0 streams its directory updates to a designated backup
-    ({!Config.Homes.backup_of}) as a logical write-ahead log.  Declaration
+    (the next host, mod the host count) as a logical write-ahead log.  Declaration
     triggers recovery: every live home shard is scrubbed (copysets, in-flight
     operations, queued requests); minipages the dead host exclusively owned
     are re-materialized at their home from shadow copies (refreshed eagerly
@@ -440,9 +414,6 @@ val log_records_sent : t -> int
 
 val mode_of : t -> addr:int -> Proto.mode
 (** Current protocol mode of the minipage holding [addr]. *)
-
-val mode_of_mp : t -> int -> Proto.mode
-(** Current protocol mode of a minipage by id. *)
 
 val modes : t -> (Proto.mode * int) list
 (** Census of minipages by current mode, as [[(Sc, n); (Rc, m)]]. *)

@@ -151,9 +151,6 @@ type packet =
 
 val access_to_string : access -> string
 
-val describe_record : log_record -> string
-(** Short tag for logging/debugging, e.g. ["complete r17"]. *)
-
 val describe : body -> string
 (** Short tag for logging/debugging. *)
 

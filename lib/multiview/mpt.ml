@@ -1,8 +1,8 @@
 module Imap = Map.Make (Int)
 
-type t = { mutable by_offset : Minipage.t Imap.t; by_id : (int, Minipage.t) Hashtbl.t }
+type t = { mutable by_offset : Minipage.t Imap.t }
 
-let create () = { by_offset = Imap.empty; by_id = Hashtbl.create 64 }
+let create () = { by_offset = Imap.empty }
 
 let find t off =
   match Imap.find_last_opt (fun start -> start <= off) t.by_offset with
@@ -22,11 +22,9 @@ let overlaps t (mp : Minipage.t) =
 let add t mp =
   if overlaps t mp then
     invalid_arg (Format.asprintf "Mpt.add: %a overlaps an existing minipage" Minipage.pp mp);
-  t.by_offset <- Imap.add mp.Minipage.offset mp t.by_offset;
-  Hashtbl.replace t.by_id mp.Minipage.id mp
+  t.by_offset <- Imap.add mp.Minipage.offset mp t.by_offset
 
 let find_exn t off = match find t off with Some mp -> mp | None -> raise Not_found
-let find_by_id t id = Hashtbl.find_opt t.by_id id
 let count t = Imap.cardinal t.by_offset
 
 let total_bytes t =

@@ -148,8 +148,6 @@ let create engine ~hosts ~counters ?(latency = default_latency) ?(poll_idle_us =
 
 let attach_obs t ~obs ~describe = t.obs <- Some (obs, describe)
 
-let hosts t = Array.length t.nodes
-let engine t = t.engine
 let faulty t = t.fault_rngs <> None
 
 let node t host =
@@ -221,7 +219,6 @@ let stall t ~host ~until =
           schedule_poll t n ~arrival:(Engine.now t.engine))
   end
 
-let dead t ~host = (node t host).dead
 let stalled_until t ~host = (node t host).stalled_until
 
 let send t ~src ~dst ~bytes body =
@@ -325,5 +322,3 @@ let set_busy t ~host b =
   if was && (not b) && not (Queue.is_empty n.ready) then
     schedule_poll t n ~arrival:(Engine.now t.engine)
 
-let busy t ~host = (node t host).busy
-let queue_depth t ~host = Queue.length (node t host).ready

@@ -35,11 +35,6 @@ val no_faults : faults
 
 val faults_active : faults -> bool
 
-val fifo_spacing_us : float
-(** Minimum spacing between consecutive arrivals on one (src, dst) channel
-    (the FIFO clamp); duplicate injection also uses it to keep the ghost copy
-    strictly behind the original. *)
-
 type 'a t
 
 val create :
@@ -69,9 +64,6 @@ val create :
 
 val default_latency : bytes:int -> float
 
-val hosts : 'a t -> int
-val engine : 'a t -> Mp_sim.Engine.t
-
 val set_handler : 'a t -> host:int -> ('a msg -> unit) -> unit
 (** Must be installed before the first send to [host].  The handler runs
     inside a simulated process and may delay/suspend; messages on one host
@@ -86,13 +78,8 @@ val set_busy : 'a t -> host:int -> bool -> unit
 (** Mark the host CPU as occupied by application computation; this is what
     routes message pickup to the sweeper instead of the poller. *)
 
-val busy : 'a t -> host:int -> bool
-
 val faulty : 'a t -> bool
 (** Whether this fabric was created with any fault injection enabled. *)
-
-val queue_depth : 'a t -> host:int -> int
-(** Messages arrived but not yet handled (for tests). *)
 
 val crash : 'a t -> host:int -> unit
 (** Silence the host's endpoint permanently: queued messages are discarded,
@@ -107,8 +94,6 @@ val stall : 'a t -> host:int -> until:float -> unit
     one burst when the stall ends.  In-flight delivery is unaffected (the
     NIC still enqueues).  A shorter stall than one already in force is
     ignored; [stall] on a dead host is a no-op. *)
-
-val dead : 'a t -> host:int -> bool
 
 val stalled_until : 'a t -> host:int -> float
 (** Absolute end of the host's current stall; [neg_infinity] when none. *)

@@ -4,12 +4,6 @@ let access_to_string = function Read -> "read" | Write -> "write"
 
 type phase = Queue_wait | Network | Invalidation | Wakeup
 
-let phase_name = function
-  | Queue_wait -> "queue wait"
-  | Network -> "network"
-  | Invalidation -> "invalidation"
-  | Wakeup -> "wakeup"
-
 type kind =
   | Fault of { access : access; addr : int; view : int; vpage : int }
   | Fault_done of { access : access }
@@ -35,8 +29,6 @@ type kind =
   | Retransmit of { dst : int; seq : int; attempt : int; label : string }
   | Dup_suppressed of { src : int; seq : int; label : string }
   | Sweeper_wake
-  | Proc_block of { proc : string; on : string }
-  | Proc_resume of { proc : string }
   | Host_crash
   | Host_stall of { until : float }
   | Heartbeat_miss of { missed : int }
@@ -93,8 +85,6 @@ let kind_name = function
   | Retransmit _ -> "RETRANSMIT"
   | Dup_suppressed _ -> "DUP_SUPPRESSED"
   | Sweeper_wake -> "SWEEPER"
-  | Proc_block _ -> "BLOCK"
-  | Proc_resume _ -> "RESUME"
   | Host_crash -> "HOST_CRASH"
   | Host_stall _ -> "HOST_STALL"
   | Heartbeat_miss _ -> "HEARTBEAT_MISS"
@@ -153,8 +143,6 @@ let detail = function
     if seq < 0 then Printf.sprintf "%s from h%d" label src
     else Printf.sprintf "%s from h%d s%d" label src seq
   | Sweeper_wake -> ""
-  | Proc_block { proc; on } -> Printf.sprintf "%s on %s" proc on
-  | Proc_resume { proc } -> proc
   | Host_crash -> ""
   | Host_stall { until } -> Printf.sprintf "until %.1f" until
   | Heartbeat_miss { missed } -> Printf.sprintf "%d missed" missed
@@ -185,10 +173,6 @@ let detail = function
     Printf.sprintf "mp%d view %d @%d len %d vpages %d-%d" mp_id view base_addr
       length first_vpage last_vpage
   | Mark m -> m.detail
-
-let pp fmt e =
-  Format.fprintf fmt "[%8.1f] h%d  %-13s %s" e.time e.host (kind_name e.kind)
-    (detail e.kind)
 
 (* minimal JSON string escaping: the labels we emit are ASCII *)
 let json_escape s =

@@ -16,8 +16,6 @@ type phase =
   | Invalidation  (** write faults: invalidation round outstanding *)
   | Wakeup  (** reply landed to faulting thread running again *)
 
-val phase_name : phase -> string
-
 type kind =
   | Fault of { access : access; addr : int; view : int; vpage : int }
   | Fault_done of { access : access }
@@ -54,8 +52,6 @@ type kind =
       (** Receiver discarded a duplicate/stale packet ([seq < 0]: a
           protocol-level duplicate suppressed at the manager). *)
   | Sweeper_wake
-  | Proc_block of { proc : string; on : string }
-  | Proc_resume of { proc : string }
   | Host_crash  (** Fault injection crashed this host. *)
   | Host_stall of { until : float }
       (** Fault injection froze this host's CPU until the given time. *)
@@ -128,7 +124,6 @@ val kind_name : kind -> string
     trace used as its [kind]. *)
 
 val detail : kind -> string
-val pp : Format.formatter -> t -> unit
 
 val to_json : t -> string
 (** One-line JSON object: [ts], [host], [span], [kind], [detail]. *)

@@ -205,4 +205,3 @@ let check (events : Event.t list) =
     inval_open;
   List.rev !violations
 
-let ok events = check events = []

@@ -16,5 +16,3 @@
 
 val check : Event.t list -> string list
 (** Human-readable violations, empty when the trace is clean. *)
-
-val ok : Event.t list -> bool

@@ -2,8 +2,8 @@
 
     One registry per system.  Latency series feed both a streaming
     {!Mp_util.Stats.Summary} (exact mean/max/total) and a fixed-width
-    {!Mp_util.Stats.Histogram} (p50/p95/p99), rendered as one ASCII table
-    via {!Mp_util.Tab} or exported as JSON. *)
+    {!Mp_util.Stats.Histogram} (p50/p95/p99), rendered as ASCII tables via
+    {!Mp_util.Tab}. *)
 
 type t
 
@@ -19,7 +19,7 @@ val add : t -> string -> int -> unit
 
 val gauge_set : t -> string -> float -> unit
 (** Sets the current value and tracks the high-water mark, both reported by
-    {!gauges_table} and {!to_json}. *)
+    {!report}. *)
 
 (** {2 Latency distributions} *)
 
@@ -34,13 +34,6 @@ val percentile : t -> string -> float -> float option
 
 val latency_table : t -> string
 val counters_table : t -> string
-val gauges_table : t -> string
 
 val report : t -> string
 (** All non-empty sections concatenated. *)
-
-val to_json : ?meta:(string * string) list -> t -> string
-(** Deterministic JSON: counters, gauges and latency series are emitted in
-    sorted key order so reports from fixed-seed runs diff cleanly.  [meta]
-    (run metadata: app, hosts, homes policy, seeds …) is emitted first, in
-    caller order, under a ["meta"] object. *)

@@ -447,7 +447,6 @@ let summary t =
     all_patterns
 
 let hosts t = sorted_hosts t
-let homes t = sorted_homes t
 
 let host_msgs c = c.msgs
 let host_bytes c = c.bytes

@@ -1,8 +1,8 @@
 (** mpprof: online sharing-pattern profiler with protocol-cost attribution.
 
     A passive consumer of the typed event stream.  Attach one to a
-    {!Recorder} and it streams every recorded event through
-    {!feed}: per-minipage sharing signatures (classified with
+    {!Recorder} and every recorded event streams through it into
+    per-minipage sharing signatures (classified with
     {!Sharing.classify}), false-sharing attribution back to the enclosing
     view/vpage (the paper's Figure-5 effect), and per-host / per-home
     protocol-cost accounts.
@@ -18,9 +18,6 @@ val create :
   ?thresholds:Sharing.thresholds -> ?bucket_us:float -> unit -> t
 (** [bucket_us] (default 1000) is the timeline resolution used for the
     Perfetto counter series. *)
-
-val feed : t -> Event.t -> unit
-(** Consume one event.  Never raises. *)
 
 val feed_all : t -> Event.t list -> unit
 
@@ -78,9 +75,6 @@ val summary : t -> (string * int) list
 
 val hosts : t -> (int * host_cost) list
 (** Per-host protocol cost, sorted by host. *)
-
-val homes : t -> (int * home_cost) list
-(** Per-home (manager-side) cost, sorted by home host. *)
 
 val host_msgs : host_cost -> int
 val host_bytes : host_cost -> int

@@ -33,7 +33,6 @@ let create ?(capacity = 65536) () =
     tap = None;
   }
 
-let enabled t = t.on
 let set_enabled t on = t.on <- on
 let metrics t = t.metrics
 let set_tap t tap = t.tap <- tap
@@ -63,11 +62,6 @@ let events t =
   !out
 
 let dropped t = max 0 (t.next - t.capacity)
-
-let clear t =
-  Array.fill t.buf 0 t.capacity None;
-  t.next <- 0;
-  Hashtbl.reset t.faults
 
 let observe t ?bucket_width ?buckets name x =
   if t.on then Metrics.observe t.metrics ?bucket_width ?buckets name x
@@ -291,12 +285,6 @@ let sweeper_wake t ~time ~host =
     incr t "sweeper.wakes"
   end
 
-let proc_block t ~time ~proc ~on =
-  if t.on then record t ~time ~host:(-1) (Event.Proc_block { proc; on })
-
-let proc_resume t ~time ~proc =
-  if t.on then record t ~time ~host:(-1) (Event.Proc_resume { proc })
-
 (* ------------------------------------------------------------------ *)
 (* Crash faults                                                        *)
 (* ------------------------------------------------------------------ *)
@@ -414,8 +402,3 @@ let mp_map t ~time ~host ~mp_id ~view ~base_addr ~length ~first_vpage ~last_vpag
 
 let home_queue_depth t ~home ~depth =
   gauge_set t (Printf.sprintf "home.h%d.queue_depth" home) (float_of_int depth)
-
-let pp_dump t fmt =
-  List.iter (fun e -> Format.fprintf fmt "%a@." Event.pp e) (events t);
-  if dropped t > 0 then
-    Format.fprintf fmt "(%d earlier events dropped)@." (dropped t)

@@ -13,12 +13,11 @@ val create : ?capacity:int -> unit -> t
 (** Default capacity 65536 events; older events are dropped (the metrics
     registry is unaffected by drops). *)
 
-val enabled : t -> bool
 val set_enabled : t -> bool -> unit
 
 val set_tap : t -> (Event.t -> unit) option -> unit
-(** A passive observer invoked synchronously from {!record} for every event
-    appended while the recorder is enabled.  Unlike the ring it never drops:
+(** A passive observer invoked synchronously for every event appended while
+    the recorder is enabled.  Unlike the ring it never drops:
     the tap sees the full stream regardless of capacity.  The tap must not
     raise and must not touch the simulation — it exists so consumers like
     {!Profile} can stream-process events without growing the ring. *)
@@ -27,20 +26,11 @@ val set_capacity : t -> int -> unit
 (** Replace the ring (clearing it) — call before a run that needs the full
     event stream, e.g. for export or invariant checking. *)
 
-val record : t -> time:float -> host:int -> ?span:int -> Event.kind -> unit
-(** Raw append; the typed hooks below are preferred where they apply. *)
-
 val events : t -> Event.t list
 (** Oldest first. *)
 
 val dropped : t -> int
-val clear : t -> unit
 val metrics : t -> Metrics.t
-
-val observe : t -> ?bucket_width:float -> ?buckets:int -> string -> float -> unit
-val incr : t -> string -> unit
-val gauge_set : t -> string -> float -> unit
-(** Metrics pass-throughs, gated on {!enabled}. *)
 
 (** {2 Fault-service span hooks}
 
@@ -119,8 +109,6 @@ val dup_suppressed :
     deduplicated at the manager by request id, carried in [span]). *)
 
 val sweeper_wake : t -> time:float -> host:int -> unit
-val proc_block : t -> time:float -> proc:string -> on:string -> unit
-val proc_resume : t -> time:float -> proc:string -> unit
 
 (** {2 Crash faults}
 
@@ -188,5 +176,3 @@ val mp_map :
     the vpage range it occupies.  Emitted at allocation time so stream
     consumers can resolve fault addresses to minipages and detect co-location
     (the false-sharing attribution in {!Profile}). *)
-
-val pp_dump : t -> Format.formatter -> unit

@@ -39,8 +39,6 @@ module Host_set = struct
 
   let mem = List.mem
   let cardinal = List.length
-  let to_list t = t
-
   let subset a b = List.for_all (fun h -> mem h b) a
 end
 

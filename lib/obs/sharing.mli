@@ -28,8 +28,6 @@ module Host_set : sig
   val add : int -> t -> t
   val mem : int -> t -> bool
   val cardinal : t -> int
-  val to_list : t -> int list
-  val subset : t -> t -> bool
 end
 
 (** Per-host byte ranges touched within a unit, as sorted disjoint
@@ -39,7 +37,6 @@ module Footprint : sig
   type t
 
   val empty : t
-  val add : lo:int -> hi:int -> t -> t
   val overlaps : t -> t -> bool
 end
 

@@ -21,7 +21,6 @@ type t = {
   queue : ev Pqueue.t;
   mutable seq : int;
   mutable live : int;
-  mutable stopped : bool;
   blocked_tbl : (int, string * string) Hashtbl.t;
   mutable susp_id : int;
   mutable observer : (time:float -> sched_event -> unit) option;
@@ -30,13 +29,11 @@ type t = {
 }
 
 exception Not_in_process
-exception Stopped
 exception Killed
 
 type _ Effect.t +=
   | Delay : (t * float) -> unit Effect.t
   | Suspend : (t * string * ((unit -> unit) -> unit)) -> unit Effect.t
-  | Self_name : string Effect.t
 
 let create () =
   {
@@ -44,7 +41,6 @@ let create () =
     queue = Pqueue.create ();
     seq = 0;
     live = 0;
-    stopped = false;
     blocked_tbl = Hashtbl.create 32;
     susp_id = 0;
     observer = None;
@@ -98,7 +94,7 @@ let spawn t ?(name = "proc") ?group f =
       Effect.Deep.retc = (fun () -> finish ());
       exnc =
         (function
-        | Stopped | Killed -> finish ()
+        | Killed -> finish ()
         | e ->
           (* a crashing process is still an exit: keep [live] balanced *)
           finish ();
@@ -131,10 +127,7 @@ let spawn t ?(name = "proc") ?group f =
                   if not !resumed then begin
                     cleanup ();
                     notify t (Resume { proc = name });
-                    if t.stopped then
-                      (* Unwind the fiber so daemon loops exit cleanly. *)
-                      Effect.Deep.discontinue k Stopped
-                    else if st.cancelled then Effect.Deep.discontinue k Killed
+                    if st.cancelled then Effect.Deep.discontinue k Killed
                     else
                       schedule_raw t ~at:t.now ~label:("resume:" ^ name)
                         (fun () -> Effect.Deep.continue k ())
@@ -148,7 +141,6 @@ let spawn t ?(name = "proc") ?group f =
                         Effect.Deep.discontinue k Killed
                       end);
                 register resume)
-          | Self_name -> Some (fun k -> Effect.Deep.continue k name)
           | _ -> None);
     }
   in
@@ -176,15 +168,11 @@ let delay d =
   let t = the_engine () in
   try Effect.perform (Delay (t, d)) with Effect.Unhandled _ -> raise Not_in_process
 
-let yield () = delay 0.0
 
 let suspend ~name register =
   let t = the_engine () in
   try Effect.perform (Suspend (t, name, register))
   with Effect.Unhandled _ -> raise Not_in_process
-
-let self_name () =
-  try Effect.perform Self_name with Effect.Unhandled _ -> raise Not_in_process
 
 let run_ev t time (e : ev) =
   t.now <- time;
@@ -221,24 +209,8 @@ let step t =
       run_ev t time e;
       true)
 
-let run t =
-  t.stopped <- false;
-  let rec go () = if (not t.stopped) && step t then go () in
-  go ()
+let run t = while step t do () done
 
-let run_until t limit =
-  t.stopped <- false;
-  let rec go () =
-    match Pqueue.peek_time t.queue with
-    | Some time when time <= limit && not t.stopped ->
-      ignore (step t);
-      go ()
-    | Some _ | None -> ()
-  in
-  go ();
-  if t.now < limit then t.now <- limit
-
-let stop t = t.stopped <- true
 let live t = t.live
 let blocked t = Hashtbl.fold (fun _ v acc -> v :: acc) t.blocked_tbl []
 

@@ -9,12 +9,8 @@
 type t
 
 exception Not_in_process
-(** Raised when {!delay} / {!suspend} / {!self_name} is performed outside a
-    process spawned on an engine. *)
-
-exception Stopped
-(** Raised inside a process that is resumed after {!stop} was called, letting
-    daemon-style loops unwind cleanly. *)
+(** Raised when {!delay} / {!suspend} is performed outside a process spawned
+    on an engine. *)
 
 exception Killed
 (** Raised inside a process whose group was passed to {!kill_group}; the
@@ -27,7 +23,7 @@ val now : t -> float
 
 val spawn : t -> ?name:string -> ?group:int -> (unit -> unit) -> unit
 (** [spawn t f] registers process [f] to start at the current time.  An
-    exception escaping [f] (other than {!Stopped} / {!Killed}) aborts the
+    exception escaping [f] (other than {!Killed}) aborts the
     whole run.  [group] tags the process for {!kill_group} (used to model
     host crashes: everything running on host [h] is spawned in group [h]). *)
 
@@ -39,10 +35,8 @@ val schedule : t -> at:float -> ?label:string -> (unit -> unit) -> unit
     ["resume:"] plus the process name. *)
 
 val delay : float -> unit
-(** Advance this process's clock by the given number of µs. *)
-
-val yield : unit -> unit
-(** Let every other event scheduled for the current instant run first. *)
+(** Advance this process's clock by the given number of µs.  [delay 0.0] lets
+    every other event scheduled for the current instant run first. *)
 
 val suspend : name:string -> ((unit -> unit) -> unit) -> unit
 (** [suspend ~name register] parks the calling process and hands a one-shot
@@ -50,20 +44,9 @@ val suspend : name:string -> ((unit -> unit) -> unit) -> unit
     continue at the engine's then-current time; calling it twice is a no-op.
     [name] labels the suspension for deadlock reports. *)
 
-val self_name : unit -> string
-(** Name of the running process (["proc"] when spawned without a name). *)
-
 val run : t -> unit
-(** Execute events until the queue drains or {!stop} is called.  Returns
-    normally even if some processes are still suspended; inspect {!blocked}
-    to detect deadlock. *)
-
-val run_until : t -> float -> unit
-(** Like {!run} but stops once the clock would pass the given time. *)
-
-val stop : t -> unit
-(** Make {!run} return after the current event; subsequently resumed
-    processes receive {!Stopped}. *)
+(** Execute events until the queue drains.  Returns normally even if some
+    processes are still suspended; inspect {!blocked} to detect deadlock. *)
 
 val live : t -> int
 (** Number of spawned processes that have not finished. *)

@@ -3,8 +3,6 @@ type 'a entry = { time : float; seq : int; value : 'a }
 type 'a t = { mutable data : 'a entry array; mutable size : int }
 
 let create () = { data = [||]; size = 0 }
-let is_empty t = t.size = 0
-let length t = t.size
 
 let less a b = a.time < b.time || (a.time = b.time && a.seq < b.seq)
 
@@ -82,4 +80,3 @@ let pop_min_group t =
     in
     Some (first.time, List.rev (drain [ (first.seq, first.value) ]))
 
-let peek_time t = if t.size = 0 then None else Some t.data.(0).time

@@ -6,8 +6,6 @@
 type 'a t
 
 val create : unit -> 'a t
-val is_empty : 'a t -> bool
-val length : 'a t -> int
 
 val push : 'a t -> time:float -> seq:int -> 'a -> unit
 
@@ -19,5 +17,3 @@ val pop_min_group : 'a t -> (float * (int * 'a) list) option
     in [seq] order together with their [seq] keys, so a scheduler that runs
     only one of them can {!push} the rest back with their ordering intact.
     [None] when empty. *)
-
-val peek_time : 'a t -> float option

@@ -34,8 +34,6 @@ module Event = struct
     end
 
   let reset t = t.signaled <- false
-  let is_set t = t.signaled
-  let waiters t = Queue.length t.waiters
 end
 
 module Mutex = struct
@@ -52,29 +50,4 @@ module Mutex = struct
     match Queue.take_opt t.waiters with
     | Some resume -> resume () (* ownership transfers directly to the waiter *)
     | None -> t.held <- false
-
-  let with_lock t f =
-    lock t;
-    Fun.protect ~finally:(fun () -> unlock t) f
-
-  let locked t = t.held
-end
-
-module Semaphore = struct
-  type t = { name : string; mutable count : int; waiters : (unit -> unit) Queue.t }
-
-  let create ?(name = "sem") count =
-    if count < 0 then invalid_arg "Sync.Semaphore.create: negative count";
-    { name; count; waiters = Queue.create () }
-
-  let acquire t =
-    if t.count > 0 then t.count <- t.count - 1
-    else Engine.suspend ~name:t.name (fun resume -> Queue.add resume t.waiters)
-
-  let release t =
-    match Queue.take_opt t.waiters with
-    | Some resume -> resume ()
-    | None -> t.count <- t.count + 1
-
-  let count t = t.count
 end

@@ -1,8 +1,8 @@
 (** Synchronization primitives for simulated processes.
 
     These mirror the Win32 primitives Millipage is built on: waitable events
-    (auto- and manual-reset), mutexes and counting semaphores.  All [wait]
-    operations must run inside an {!Engine.spawn}ed process. *)
+    (auto- and manual-reset) and mutexes.  All [wait] operations must run
+    inside an {!Engine.spawn}ed process. *)
 
 module Event : sig
   type t
@@ -20,8 +20,6 @@ module Event : sig
       none).  Manual-reset: wakes all waiters and stays signaled. *)
 
   val reset : t -> unit
-  val is_set : t -> bool
-  val waiters : t -> int
 end
 
 module Mutex : sig
@@ -31,18 +29,4 @@ module Mutex : sig
   val lock : t -> unit
   val unlock : t -> unit
   (** Raises [Invalid_argument] when the mutex is not held. *)
-
-  val with_lock : t -> (unit -> 'a) -> 'a
-  val locked : t -> bool
-end
-
-module Semaphore : sig
-  type t
-
-  val create : ?name:string -> int -> t
-  (** Initial (non-negative) count. *)
-
-  val acquire : t -> unit
-  val release : t -> unit
-  val count : t -> int
 end

@@ -24,10 +24,6 @@ module Summary = struct
   let mean t = if t.n = 0 then 0.0 else t.mean
   let stddev t = if t.n < 2 then 0.0 else sqrt (t.m2 /. float_of_int (t.n - 1))
 
-  let min t =
-    if t.n = 0 then invalid_arg "Summary.min: empty";
-    t.min
-
   let max t =
     if t.n = 0 then invalid_arg "Summary.max: empty";
     t.max

@@ -14,7 +14,6 @@ module Summary : sig
   val stddev : t -> float
   (** Sample standard deviation; 0 with fewer than two samples. *)
 
-  val min : t -> float
   val max : t -> float
   (** Extrema raise [Invalid_argument] when empty. *)
 

@@ -106,6 +106,3 @@ let chart ?(width = 56) ?(y_label = "") ~series () =
       series;
     Buffer.contents buf
   end
-
-let print_chart ?width ?y_label ~series () =
-  print_string (chart ?width ?y_label ~series ())

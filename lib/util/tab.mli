@@ -33,6 +33,3 @@ val chart :
     series, for eyeballing the shape of a figure in terminal output.  Points
     are bucketed onto a [width x height] grid; overlapping series show the
     later letter. *)
-
-val print_chart :
-  ?width:int -> ?y_label:string -> series:(string * (float * float) list) list -> unit -> unit

@@ -29,19 +29,20 @@ let test_config_api () =
     (Consistency.mode_of_string "release" = None);
   Alcotest.(check bool) "default is sc" true (Consistency.default.mode = `Sc);
   Alcotest.(check bool) "config default carries sc" true
-    (Dsm.Config.default.consistency = Consistency.sc);
-  Alcotest.check_raises "interval below 1 rejected"
-    (Invalid_argument "Consistency.with_adapt_interval") (fun () ->
-      ignore (Consistency.with_adapt_interval Consistency.adaptive 0));
-  let c =
-    Consistency.with_hysteresis
-      (Consistency.with_adapt_interval Consistency.adaptive 3)
-      ~promote_after:5 ~demote_after:7 ()
-  in
-  Alcotest.(check int) "interval kept" 3 c.adapt_interval;
-  Alcotest.(check int) "promote_after kept" 5 c.promote_after;
-  Alcotest.(check int) "demote_after kept" 7 c.demote_after;
-  Alcotest.(check bool) "mode kept" true (c.mode = `Adaptive)
+    (Dsm.Config.default.consistency = Consistency.sc)
+
+(* A record update can set any interval, so Dsm.create is the one place that
+   checks it; the governor divides by it at every barrier. *)
+let test_create_rejects_interval_below_1 () =
+  List.iter
+    (fun consistency ->
+      Alcotest.check_raises "interval 0 rejected"
+        (Invalid_argument "Dsm.create: consistency.adapt_interval") (fun () ->
+          let config =
+            { Dsm.Config.default with consistency = { consistency with adapt_interval = 0 } }
+          in
+          ignore (Dsm.create (Engine.create ()) ~hosts:2 ~config ())))
+    [ Consistency.sc; Consistency.rc; Consistency.adaptive ]
 
 (* ---------------- shared workload helpers ------------------------------ *)
 
@@ -110,7 +111,8 @@ let test_rc_beats_sc_on_false_sharing () =
 let rc_scenario ?(hosts = 2) ?(chunking = Mp_multiview.Allocator.Fine 1) setup =
   let config =
     {
-      (Dsm.Config.with_chunking Dsm.Config.default chunking) with
+      Dsm.Config.default with
+      chunking;
       consistency = Consistency.rc;
       homes = Homes.round_robin;
       polling = Mp_net.Polling.Fast;
@@ -243,10 +245,7 @@ let test_rc_sor () =
 
 (* ---------------- the governor ----------------------------------------- *)
 
-let eager =
-  Consistency.with_hysteresis
-    (Consistency.with_adapt_interval Consistency.adaptive 1)
-    ~promote_after:1 ~demote_after:2 ()
+let eager = { Consistency.adaptive with adapt_interval = 1; promote_after = 1; demote_after = 2 }
 
 let test_switch_only_at_sync_points () =
   (* the same falsely-shared write pattern, but with no barrier or lock in
@@ -271,11 +270,7 @@ let test_adaptive_promotes_then_demotes () =
      min-accesses floor and classify as (neutral) low traffic.  Two
      consecutive write-shared windows to promote, so the decayed write
      residue right after the demotion cannot flap the minipage back. *)
-  let gov =
-    Consistency.with_hysteresis
-      (Consistency.with_adapt_interval Consistency.adaptive 2)
-      ~promote_after:2 ~demote_after:2 ()
-  in
+  let gov = { Consistency.adaptive with adapt_interval = 2; promote_after = 2; demote_after = 2 } in
   let _, dsm = mk gov in
   let x = Dsm.malloc dsm 64 in
   Dsm.init_write_f64 dsm x 0.0;
@@ -468,6 +463,8 @@ let qcheck_mode_equivalence =
 let suite =
   [
     Alcotest.test_case "consistency config api" `Quick test_config_api;
+    Alcotest.test_case "create rejects interval below 1" `Quick
+      test_create_rejects_interval_below_1;
     Alcotest.test_case "rc multi-writer path" `Quick test_rc_multi_writer;
     Alcotest.test_case "rc beats sc on false sharing" `Quick
       test_rc_beats_sc_on_false_sharing;

@@ -170,14 +170,12 @@ let test_trace_ring_buffer () =
   let tr = Obs.create ~capacity:4 () in
   Obs.set_enabled tr true;
   for i = 1 to 10 do
-    Obs.record tr ~time:(float_of_int i) ~host:0
-      (Mp_obs.Event.Mark { kind = "K"; detail = string_of_int i })
+    Obs.msg_send tr ~time:(float_of_int i) ~host:0 ~dst:1 ~bytes:i ~label:"m"
   done;
   let evs = Obs.events tr in
   Alcotest.(check int) "capacity bound" 4 (List.length evs);
   Alcotest.(check int) "dropped count" 6 (Obs.dropped tr);
-  Alcotest.(check string) "oldest kept" "7"
-    (Event.detail (List.hd evs).Event.kind)
+  Alcotest.(check (float 0.0)) "oldest kept" 7.0 (List.hd evs).Event.time
 
 let suite =
   [

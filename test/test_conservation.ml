@@ -45,9 +45,11 @@ let check_cell (app, setup) (net, faults) mode =
     Printf.sprintf "%s/%s/%s" app net (Dsm.Config.Consistency.mode_name mode)
   in
   let config =
-    let c = Dsm.Config.with_faults Dsm.Config.default faults in
-    Dsm.Config.with_consistency (Dsm.Config.with_net_seed c 7)
-      (Dsm.Config.Consistency.with_mode Dsm.Config.Consistency.default mode)
+    {
+      Dsm.Config.default with
+      net = { Dsm.Config.Net.default with faults; seed = 7 };
+      consistency = { Dsm.Config.Consistency.default with mode };
+    }
   in
   let dsm = Dsm.create (Engine.create ()) ~hosts:4 ~config () in
   let obs = Dsm.obs dsm in

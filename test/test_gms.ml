@@ -59,12 +59,12 @@ let test_clean_eviction_no_writeback () =
   Alcotest.(check int) "no writebacks" 0 (Gms.writebacks t)
 
 let test_subpage_transfers_only_what_is_touched () =
-  (* touching one byte per page moves one subpage, not the whole page *)
+  (* touching one word per page moves one subpage, not the whole page *)
   let run subpage_bytes =
     let _e, t =
       scenario ~subpage_bytes ~resident_pages:64 (fun t ->
           for p = 0 to 15 do
-            ignore (Gms.read_u8 t (p * 4096))
+            ignore (Gms.read_int t (p * 4096))
           done)
     in
     Gms.bytes_transferred t
@@ -78,9 +78,9 @@ let test_subpage_transfers_only_what_is_touched () =
 let test_dense_access_faults_per_subpage () =
   let _e, t =
     scenario ~subpage_bytes:1024 ~resident_pages:64 (fun t ->
-        (* read a whole page byte by byte: 4 subpage fetches *)
-        for off = 0 to 4095 do
-          ignore (Gms.read_u8 t off)
+        (* read a whole page word by word: 4 subpage fetches *)
+        for w = 0 to 511 do
+          ignore (Gms.read_int t (w * 8))
         done)
   in
   Alcotest.(check int) "four fetches" 4 (Gms.subpage_fetches t);
@@ -92,10 +92,10 @@ let test_prefetch_rest_hides_misses () =
       scenario ~subpage_bytes:512 ~resident_pages:64 ~prefetch_rest (fun t ->
           for p = 0 to 7 do
             (* demand-touch the first byte, compute, then scan the page *)
-            ignore (Gms.read_u8 t (p * 4096));
+            ignore (Gms.read_int t (p * 4096));
             Engine.delay 2000.0;
             for s = 1 to 7 do
-              ignore (Gms.read_u8 t ((p * 4096) + (s * 512)))
+              ignore (Gms.read_int t ((p * 4096) + (s * 512)))
             done
           done)
     in
@@ -120,7 +120,7 @@ let test_miss_latency_scales_with_subpage () =
     let _e, t =
       scenario ~subpage_bytes ~resident_pages:64 (fun t ->
           for p = 0 to 15 do
-            ignore (Gms.read_u8 t (p * 4096))
+            ignore (Gms.read_int t (p * 4096))
           done)
     in
     Gms.mean_miss_us t

@@ -26,7 +26,6 @@ let test_plan_roundtrip () =
   Alcotest.(check bool) "empty round-trips" true (Plan.of_string "-" = Plan.empty);
   Alcotest.(check string) "pick 0 deletes" "3=1 12=3"
     (Plan.to_string (Plan.set p ~pos:7 ~pick:0));
-  Alcotest.(check int) "max_pos" 12 (Plan.max_pos p);
   Alcotest.(check int) "deviations" 3 (Plan.deviations p)
 
 let test_scenario_roundtrip () =
@@ -53,10 +52,6 @@ let test_scenario_roundtrip () =
     }
 
 let test_label_independence () =
-  Alcotest.(check bool) "net target" true (Sched.target_host "net:h0>h2" = Some 2);
-  Alcotest.(check bool) "poll target" true (Sched.target_host "poll:h1" = Some 1);
-  Alcotest.(check bool) "resume target" true (Sched.target_host "resume:app.h3" = Some 3);
-  Alcotest.(check bool) "no host" true (Sched.target_host "delay:sweeper" = None);
   Alcotest.(check bool) "different hosts commute" true
     (Sched.independent "poll:h1" "net:h0>h2");
   Alcotest.(check bool) "same host depends" false

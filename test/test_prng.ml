@@ -71,14 +71,6 @@ let test_split_independence () =
   let a = Prng.bits64 parent and b = Prng.bits64 child in
   Alcotest.(check bool) "streams differ after split" true (a <> b)
 
-let test_shuffle_is_permutation () =
-  let rng = Prng.create ~seed:23 in
-  let a = Array.init 100 Fun.id in
-  Prng.shuffle rng a;
-  let sorted = Array.copy a in
-  Array.sort compare sorted;
-  Alcotest.(check (array int)) "permutation" (Array.init 100 Fun.id) sorted
-
 let qcheck_int_in_range =
   QCheck.Test.make ~name:"prng int always in range" ~count:500
     QCheck.(pair small_int (int_range 1 1000))
@@ -98,6 +90,5 @@ let suite =
     Alcotest.test_case "gaussian moments" `Quick test_gaussian_moments;
     Alcotest.test_case "exponential mean" `Quick test_exponential_mean;
     Alcotest.test_case "split independence" `Quick test_split_independence;
-    Alcotest.test_case "shuffle permutation" `Quick test_shuffle_is_permutation;
     QCheck_alcotest.to_alcotest qcheck_int_in_range;
   ]

@@ -67,7 +67,7 @@ let qcheck_gms_integrity =
           for _ = 1 to 200 do
             let slot = Mp_util.Prng.int rng (pages * 8) in
             let addr = slot * 512 in
-            if Mp_util.Prng.bool rng then begin
+            if Int64.logand (Mp_util.Prng.bits64 rng) 1L = 1L then begin
               let v = Mp_util.Prng.int rng 1_000_000 in
               Mp_gms.Gms.write_int t addr v;
               shadow.(slot) <- v

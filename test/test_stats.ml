@@ -8,7 +8,6 @@ let test_summary_basic () =
   Alcotest.(check int) "count" 4 (Stats.Summary.count s);
   Alcotest.(check bool) "mean" true (feq (Stats.Summary.mean s) 2.5);
   Alcotest.(check bool) "total" true (feq (Stats.Summary.total s) 10.0);
-  Alcotest.(check bool) "min" true (feq (Stats.Summary.min s) 1.0);
   Alcotest.(check bool) "max" true (feq (Stats.Summary.max s) 4.0);
   (* sample stddev of 1,2,3,4 is sqrt(5/3) *)
   Alcotest.(check bool) "stddev" true
@@ -18,8 +17,8 @@ let test_summary_empty () =
   let s = Stats.Summary.create () in
   Alcotest.(check bool) "mean 0" true (feq (Stats.Summary.mean s) 0.0);
   Alcotest.(check bool) "stddev 0" true (feq (Stats.Summary.stddev s) 0.0);
-  Alcotest.check_raises "min raises" (Invalid_argument "Summary.min: empty") (fun () ->
-      ignore (Stats.Summary.min s))
+  Alcotest.check_raises "max raises" (Invalid_argument "Summary.max: empty") (fun () ->
+      ignore (Stats.Summary.max s))
 
 let test_summary_merge_equals_union () =
   let rng = Prng.create ~seed:5 in
@@ -37,7 +36,6 @@ let test_summary_merge_equals_union () =
     (feq ~eps:1e-6 (Stats.Summary.mean u) (Stats.Summary.mean m));
   Alcotest.(check bool) "stddev" true
     (feq ~eps:1e-6 (Stats.Summary.stddev u) (Stats.Summary.stddev m));
-  Alcotest.(check bool) "min" true (feq (Stats.Summary.min u) (Stats.Summary.min m));
   Alcotest.(check bool) "max" true (feq (Stats.Summary.max u) (Stats.Summary.max m))
 
 let test_counters () =
